@@ -12,15 +12,16 @@
 #   make bench-wcoj   - build + run the binary vs WCOJ vs hybrid join
 #                       strategy bench (writes BENCH_wcoj.json)
 #   make bench-multiquery - build + run the Zipfian multi-client
-#                       result-cache + batching A/B
+#                       result-cache + MatchBatch A/B
 #                       (writes BENCH_multiquery.json)
 #   make bench-server - build + run the open-loop query-server bench
 #                       over real sockets at 1/2/4/8 shards
 #                       (writes BENCH_server.json)
-#   make bench-sched  - build + run the fork-join vs work-stealing A/B:
-#                       uniform/skewed ParallelFor microbenches plus the
-#                       hot-shard server sweep at Zipf 0.6/0.9/1.2
-#                       (writes BENCH_sched.json)
+#   make bench-selftest - build + run every BENCHMARK.json workload at
+#                       tiny sizes (python3 perfbench/run.py --selftest);
+#                       perfbench/ compiles ../src with its own
+#                       CMakeLists, so run this after editing
+#                       src/CMakeLists.txt or a public header
 #   make verify-tsan  - ThreadSanitizer pass over the concurrency +
 #                       reach + exec + obs + wcoj + mqo + net + sched
 #                       tests (the Chase-Lev deque is the TSan-critical
@@ -41,7 +42,7 @@ TSAN_BUILD_DIR ?= build-tsan
 ASAN_BUILD_DIR ?= build-asan
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test bench-codes bench-exec bench-obs bench-wcoj bench-multiquery bench-server bench-sched verify-tsan verify-asan
+.PHONY: build test bench-codes bench-exec bench-obs bench-wcoj bench-multiquery bench-server bench-selftest verify-tsan verify-asan
 
 build:
 	cmake -B $(BUILD_DIR) -S .
@@ -74,9 +75,8 @@ bench-server: build
 	cd $(BUILD_DIR)/bench && ./bench_server
 	cp $(BUILD_DIR)/bench/BENCH_server.json BENCH_server.json
 
-bench-sched: build
-	cd $(BUILD_DIR)/bench && ./bench_sched
-	cp $(BUILD_DIR)/bench/BENCH_sched.json BENCH_sched.json
+bench-selftest:
+	python3 perfbench/run.py --selftest
 
 verify-tsan:
 	cmake -B $(TSAN_BUILD_DIR) -S . -DFGPM_SANITIZE=thread

@@ -5,8 +5,8 @@
 //         cache disabled (the pre-PR serving path: plan cache only);
 //   on  — queries arrive in batches of `batch` concurrent clients and
 //         run through GraphMatcher::MatchBatch with the result cache
-//         enabled (canonical dedup -> exact/containment cache probes ->
-//         shared-seed execution of the residue).
+//         enabled (canonical dedup -> one Match per unique pattern,
+//         which probes the cache for exact/containment hits).
 // Both passes see the identical query sequence; every returned result
 // is compared row-for-row against a reference answer computed once per
 // pattern text by a cache-less matcher (FGPM_CHECK aborts on any
@@ -61,8 +61,6 @@ struct Cell {
   double on_ms = 0;
   uint64_t cache_exact = 0;
   uint64_t cache_replay = 0;
-  uint64_t shared_seed_groups = 0;
-  uint64_t shared_seed_reuses = 0;
   uint64_t unique_queries = 0;
   double off_qps(uint64_t q) const { return off_ms > 0 ? q * 1e3 / off_ms : 0; }
   double on_qps(uint64_t q) const { return on_ms > 0 ? q * 1e3 / on_ms : 0; }
@@ -185,8 +183,6 @@ int main(int argc, char** argv) {
         if (rep == 0) {
           cell.cache_exact += bs.cache_exact;
           cell.cache_replay += bs.cache_replay;
-          cell.shared_seed_groups += bs.shared_seed_groups;
-          cell.shared_seed_reuses += bs.shared_seed_reuses;
           cell.unique_queries += bs.unique_queries;
         }
         for (size_t i = 0; i < round.size(); ++i) {
@@ -199,12 +195,11 @@ int main(int argc, char** argv) {
 
     std::printf(
         "  %u thread%s: off %8.1f ms (%7.0f q/s), on %8.1f ms (%7.0f q/s)"
-        "  %5.2fx  [exact %llu, replay %llu, seed-reuse %llu, unique %llu]\n",
+        "  %5.2fx  [exact %llu, replay %llu, unique %llu]\n",
         threads, threads == 1 ? " " : "s", cell.off_ms,
         cell.off_qps(total_queries), cell.on_ms, cell.on_qps(total_queries),
         cell.speedup(), (unsigned long long)cell.cache_exact,
         (unsigned long long)cell.cache_replay,
-        (unsigned long long)cell.shared_seed_reuses,
         (unsigned long long)cell.unique_queries);
     std::fflush(stdout);
     cells.push_back(cell);
@@ -230,13 +225,10 @@ int main(int argc, char** argv) {
         "    {\"threads\": %u, \"off_ms\": %.2f, \"on_ms\": %.2f, "
         "\"off_qps\": %.1f, \"on_qps\": %.1f, \"speedup\": %.3f,\n"
         "     \"cache_exact\": %llu, \"cache_replay\": %llu, "
-        "\"shared_seed_groups\": %llu, \"shared_seed_reuses\": %llu, "
         "\"unique_queries\": %llu}%s\n",
         c.threads, c.off_ms, c.on_ms, c.off_qps(total_queries),
         c.on_qps(total_queries), c.speedup(),
         (unsigned long long)c.cache_exact, (unsigned long long)c.cache_replay,
-        (unsigned long long)c.shared_seed_groups,
-        (unsigned long long)c.shared_seed_reuses,
         (unsigned long long)c.unique_queries,
         i + 1 < cells.size() ? "," : "");
   }

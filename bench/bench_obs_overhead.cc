@@ -256,8 +256,9 @@ int Main(int argc, char** argv) {
                "\"on_median_ms\": %.3f, \"overhead_pct\": %.3f, "
                "\"pass\": %s},\n"
                "  \"budget_pct\": 3.0,\n  \"pass\": %s\n}\n",
-               sp.off_median_ms, sp.on_median_ms, sp.overhead_pct,
-               sp.pass ? "true" : "false", pass ? "true" : "false");
+               overhead_l0, overhead_l1, sp.off_median_ms, sp.on_median_ms,
+               sp.overhead_pct, sp.pass ? "true" : "false",
+               pass ? "true" : "false");
   std::fclose(f);
   std::printf("wrote BENCH_obs.json\n");
   return 0;

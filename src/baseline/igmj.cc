@@ -190,6 +190,9 @@ Result<MatchResult> IntDpEngine::Match(const Pattern& pattern) {
         }
         break;
       }
+      case StepKind::kWcojBind:
+        // IGMJ is a binary sort-merge join; its DP plans never bind.
+        return Status::Internal("INT-DP cannot execute a WCOJ bind step");
     }
     if (rows.empty() && !schema.empty()) break;
   }

@@ -1,10 +1,8 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <thread>
 
-#include "common/logging.h"
 #include "common/scheduler.h"
 
 namespace fgpm {
@@ -15,126 +13,12 @@ unsigned ResolveThreads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-namespace {
-
-bool UseForkJoin() {
-  static const bool use = [] {
-    const char* v = std::getenv("FGPM_SCHED");
-    return v != nullptr && std::strcmp(v, "forkjoin") == 0;
-  }();
-  return use;
-}
-
-#ifndef NDEBUG
-// Reentrancy guard for the legacy pool: a fork-join region body must not
-// open another fork-join region (the cursor/active state is per-pool and
-// not stacked). The work-stealing path has no such restriction.
-thread_local bool tls_in_forkjoin_region = false;
-#endif
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ForkJoinPool — the PR 1 implementation, verbatim plus the debug
-// reentrancy assert.
-
-ForkJoinPool::ForkJoinPool(unsigned num_threads)
-    : num_threads_(std::max(1u, ResolveThreads(num_threads))) {
-  workers_.reserve(num_threads_ - 1);
-  for (unsigned w = 1; w < num_threads_; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
-  }
-}
-
-ForkJoinPool::~ForkJoinPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ForkJoinPool::RunChunks(unsigned worker) {
-  for (;;) {
-    size_t begin = cursor_.fetch_add(chunk_size_, std::memory_order_relaxed);
-    if (begin >= n_) break;
-    size_t end = std::min(n_, begin + chunk_size_);
-    (*body_)(worker, begin / chunk_size_, begin, end);
-  }
-}
-
-void ForkJoinPool::WorkerLoop(unsigned worker) {
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || region_seq_ != seen; });
-      if (shutdown_) return;
-      seen = region_seq_;
-    }
-    RunChunks(worker);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--active_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void ForkJoinPool::ParallelFor(size_t n, size_t chunk_size, const Body& body) {
-  if (n == 0) return;
-  if (chunk_size == 0) chunk_size = 1;
-  if (num_threads_ == 1 || n <= chunk_size) {
-    // Inline: same chunk decomposition, no synchronization.
-    for (size_t begin = 0; begin < n; begin += chunk_size) {
-      body(0, begin / chunk_size, begin, std::min(n, begin + chunk_size));
-    }
-    return;
-  }
-#ifndef NDEBUG
-  // Reentrant fork-join regions deadlock/corrupt the shared cursor;
-  // nested regions need the work-stealing scheduler (default mode).
-  FGPM_CHECK(!tls_in_forkjoin_region);
-  tls_in_forkjoin_region = true;
-#endif
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    body_ = &body;
-    n_ = n;
-    chunk_size_ = chunk_size;
-    cursor_.store(0, std::memory_order_relaxed);
-    active_ = num_threads_ - 1;
-    ++region_seq_;
-  }
-  work_cv_.notify_all();
-  RunChunks(/*worker=*/0);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return active_ == 0; });
-  body_ = nullptr;
-#ifndef NDEBUG
-  tls_in_forkjoin_region = false;
-#endif
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool — facade over the shared work-stealing scheduler.
-
 ThreadPool::ThreadPool(unsigned num_threads)
     : num_threads_(std::max(1u, ResolveThreads(num_threads))) {
-  if (UseForkJoin()) {
-    legacy_ = std::make_unique<ForkJoinPool>(num_threads_);
-  } else if (num_threads_ > 1) {
-    Scheduler::Global().EnsureWidth(num_threads_);
-  }
+  if (num_threads_ > 1) Scheduler::Global().EnsureWidth(num_threads_);
 }
 
-ThreadPool::~ThreadPool() = default;
-
 void ThreadPool::ParallelFor(size_t n, size_t chunk_size, const Body& body) {
-  if (legacy_ != nullptr) {
-    legacy_->ParallelFor(n, chunk_size, body);
-    return;
-  }
   if (n == 0) return;
   if (chunk_size == 0) chunk_size = 1;
   if (num_threads_ == 1 || n <= chunk_size) {

@@ -1,12 +1,10 @@
 // Parallel-for entry point for intra-query execution.
 //
-// ThreadPool is now a facade over the process-wide work-stealing morsel
-// scheduler (common/scheduler.h): a pool no longer owns threads, it only
+// ThreadPool is a facade over the process-wide work-stealing morsel
+// scheduler (common/scheduler.h): a pool owns no threads, it only
 // records its width and forwards ParallelFor regions to the shared
 // scheduler, which runs them with work stealing, nested-region support
-// and adaptive morsel sizing. The PR 1 chunked fork-join implementation
-// is preserved as ForkJoinPool for A/B benchmarking and can be selected
-// process-wide with FGPM_SCHED=forkjoin.
+// and adaptive morsel sizing.
 //
 // Determinism contract (unchanged): the body receives the *chunk index*
 // (a pure function of `begin` and the chunk size), so callers can write
@@ -21,62 +19,14 @@
 #ifndef FGPM_COMMON_PARALLEL_H_
 #define FGPM_COMMON_PARALLEL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace fgpm {
 
 // Resolves a user-facing thread-count knob: 0 means "one worker per
 // hardware thread", anything else is taken literally (>= 1).
 unsigned ResolveThreads(unsigned requested);
-
-// The PR 1 chunked fork-join pool: `size() - 1` persistent private
-// workers, fixed-size contiguous chunks claimed off a shared atomic
-// cursor, no stealing, no reentrancy (enforced with a debug assert).
-// Kept as the A/B baseline for bench_sched and selectable process-wide
-// via FGPM_SCHED=forkjoin.
-class ForkJoinPool {
- public:
-  using Body = std::function<void(unsigned worker, size_t chunk, size_t begin,
-                                  size_t end)>;
-
-  explicit ForkJoinPool(unsigned num_threads = 0);
-  ~ForkJoinPool();
-  ForkJoinPool(const ForkJoinPool&) = delete;
-  ForkJoinPool& operator=(const ForkJoinPool&) = delete;
-
-  unsigned size() const { return num_threads_; }
-
-  // Blocks until all chunks are done. Reentrant calls from within a
-  // body are not supported (asserted in debug builds).
-  void ParallelFor(size_t n, size_t chunk_size, const Body& body);
-
- private:
-  void WorkerLoop(unsigned worker);
-  void RunChunks(unsigned worker);
-
-  const unsigned num_threads_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // region published / shutdown
-  std::condition_variable done_cv_;  // all workers left the region
-  uint64_t region_seq_ = 0;          // bumped when a region is published
-  unsigned active_ = 0;              // pool workers still inside a region
-  bool shutdown_ = false;
-
-  // Current region (valid while active_ > 0 or the caller is running it).
-  const Body* body_ = nullptr;
-  size_t n_ = 0;
-  size_t chunk_size_ = 1;
-  std::atomic<size_t> cursor_{0};
-};
 
 class ThreadPool {
  public:
@@ -88,7 +38,6 @@ class ThreadPool {
 
   // num_threads == 0 resolves to hardware_concurrency.
   explicit ThreadPool(unsigned num_threads = 0);
-  ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
@@ -102,13 +51,11 @@ class ThreadPool {
 
   // Runs `body` over every chunk of [0, n). Blocks until all chunks are
   // done. Reentrant: a body may open a nested region on this or any
-  // other pool (the blocked participant helps execute it) — except in
-  // FGPM_SCHED=forkjoin legacy mode, where nesting still aborts.
+  // other pool (the blocked participant helps execute it).
   void ParallelFor(size_t n, size_t chunk_size, const Body& body);
 
  private:
   const unsigned num_threads_;
-  std::unique_ptr<ForkJoinPool> legacy_;  // only in FGPM_SCHED=forkjoin mode
 };
 
 }  // namespace fgpm

@@ -8,8 +8,7 @@
 // held in per-worker bounded Chase-Lev deques (LIFO owner pop for
 // cache locality, FIFO steal for load balancing).
 //
-// Three properties distinguish it from the PR 1 fork-join pool
-// (preserved as ForkJoinPool in common/parallel.h for A/B):
+// Three properties distinguish it from a chunked fork-join pool:
 //
 //   * Work stealing. An idle participant steals the oldest morsel of
 //     a random victim, so a skewed region (or a skewed mix of

@@ -33,8 +33,6 @@ struct MatcherMetrics {
   obs::Gauge* result_cache_bytes;
   obs::Counter* batch_queries;
   obs::Counter* batch_dedup_hits;
-  obs::Counter* batch_shared_seed_groups;
-  obs::Counter* batch_shared_seed_reuses;
   obs::Histogram* latency_usec;
 
   static const MatcherMetrics& Get() {
@@ -73,12 +71,6 @@ struct MatcherMetrics {
       e.batch_dedup_hits = r.GetCounter(
           "fgpm_batch_dedup_hits_total",
           "Batch queries answered by another member's canonical duplicate");
-      e.batch_shared_seed_groups =
-          r.GetCounter("fgpm_batch_shared_seed_groups_total",
-                       "Batch opening groups that seeded >= 2 queries");
-      e.batch_shared_seed_reuses =
-          r.GetCounter("fgpm_batch_shared_seed_reuses_total",
-                       "Batch queries served from a shared seed");
       e.latency_usec =
           r.GetHistogram("fgpm_match_latency_usec",
                          "End-to-end match time, optimize + execute (us)");
@@ -87,6 +79,17 @@ struct MatcherMetrics {
     return m;
   }
 };
+
+// True when a pattern's node numbering already is its canonical one
+// (always so for the canonical patterns MatchBatch runs): rows then
+// need no column permutation between the caller's and the cache's
+// node order.
+bool IsCanonicalNumbering(const CanonicalForm& canon) {
+  for (size_t i = 0; i < canon.node_map.size(); ++i) {
+    if (canon.node_map[i] != i) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -401,13 +404,17 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
           for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
             result.column_labels.push_back(effective->label(i));
           }
-          result.rows.reserve(canon_rows.size());
-          for (const auto& crow : canon_rows) {
-            std::vector<NodeId> row(crow.size());
-            for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
-              row[i] = crow[canon.node_map[i]];
+          if (IsCanonicalNumbering(canon)) {
+            result.rows = std::move(canon_rows);
+          } else {
+            result.rows.reserve(canon_rows.size());
+            for (const auto& crow : canon_rows) {
+              std::vector<NodeId> row(crow.size());
+              for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
+                row[i] = crow[canon.node_map[i]];
+              }
+              result.rows.push_back(std::move(row));
             }
-            result.rows.push_back(std::move(row));
           }
           result.stats.cache_hit = cache_hit;
           result.stats.result_rows = result.rows.size();
@@ -422,7 +429,10 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
       // processing.
       result.stats.optimize_ms = optimize_ms;
       result.stats.elapsed_ms += optimize_ms;
-      if (use_cache) {
+      if (use_cache && IsCanonicalNumbering(canon)) {
+        result_cache_->Insert(canon.key, canon.pattern, result.rows);
+        SyncResultCacheMetrics();
+      } else if (use_cache) {
         std::vector<std::vector<NodeId>> canon_rows;
         canon_rows.reserve(result.rows.size());
         for (const auto& row : result.rows) {
@@ -576,156 +586,88 @@ Result<std::vector<MatchResult>> GraphMatcher::MatchBatch(
     return Status::InvalidArgument(
         "MatchBatch needs a planned engine (DPS/DP/CANONICAL)");
   }
-  CheckEpoch();
-  const bool use_cache = executor_.options().use_result_cache;
-  if (use_cache) EnsureResultCache();
 
-  // Phase 1: canonicalize and dedup. Two spellings of the same pattern
-  // (and outright repeats) collapse into one unique query; everything
-  // downstream runs in CANONICAL coordinates, so plans, cached rows and
-  // shared seeds are directly reusable, and the fan-out at the end is a
-  // pure column permutation per caller spelling.
-  struct Prepared {
-    Pattern reduced;            // storage when transitive_reduction is on
+  // Step 1: canonicalize and dedup. Two spellings of the same pattern
+  // (and outright repeats) collapse into one unique query.
+  struct Member {
+    Pattern reduced;  // storage when transitive_reduction is on
     const Pattern* effective = nullptr;
     CanonicalForm canon;
     size_t unique = 0;
     bool representative = false;
   };
-  std::vector<Prepared> prep(patterns.size());
-  struct Unique {
-    const Pattern* canonical = nullptr;  // points into prep
-    const std::string* key = nullptr;
-    std::vector<std::vector<NodeId>> rows;  // canonical node order
-    ExecStats stats;
-    std::vector<LabelId> node_labels;
-    bool resolvable = false;
-    fgpm::Plan plan;             // own copy: cache entries may be evicted
-    size_t batch_slot = SIZE_MAX;  // index into the shared-seed batch
-  };
-  std::vector<Unique> uniques;
+  std::vector<Member> members(patterns.size());
   std::unordered_map<std::string, size_t> unique_of;
+  std::vector<const Member*> representatives;
   for (size_t i = 0; i < patterns.size(); ++i) {
     FGPM_RETURN_IF_ERROR(patterns[i].Validate());
-    Prepared& p = prep[i];
-    p.effective = &patterns[i];
+    Member& m = members[i];
+    m.effective = &patterns[i];
     if (options.transitive_reduction) {
-      p.reduced = patterns[i].TransitiveReduction();
-      p.effective = &p.reduced;
+      m.reduced = patterns[i].TransitiveReduction();
+      m.effective = &m.reduced;
     }
-    p.canon = Canonicalize(*p.effective);
-    auto [it, inserted] = unique_of.try_emplace(p.canon.key, uniques.size());
-    p.unique = it->second;
-    p.representative = inserted;
-    if (inserted) uniques.emplace_back();
-  }
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    if (!prep[i].representative) continue;
-    Unique& u = uniques[prep[i].unique];
-    u.canonical = &prep[i].canon.pattern;
-    u.key = &prep[i].canon.key;
+    m.canon = Canonicalize(*m.effective);
+    auto [it, inserted] =
+        unique_of.try_emplace(m.canon.key, representatives.size());
+    m.unique = it->second;
+    m.representative = inserted;
+    if (inserted) representatives.push_back(&m);
   }
 
-  // Phase 2: per unique — resolve the (canonical) plan, probe the
-  // result cache, and collect the rest into one shared-seed batch.
-  std::vector<BatchQuery> batch;
-  std::vector<size_t> batch_unique;  // batch slot -> unique index
-  for (size_t ui = 0; ui < uniques.size(); ++ui) {
-    Unique& u = uniques[ui];
-    // The canonical pattern canonicalizes to itself, so this yields
-    // identity maps — ResolvePlan caches and returns the plan verbatim.
-    const CanonicalForm self = Canonicalize(*u.canonical);
-    fgpm::Plan storage;
-    double optimize_ms = 0;
-    FGPM_ASSIGN_OR_RETURN(
-        const fgpm::Plan* plan,
-        ResolvePlan(*u.canonical, self, options, &storage, &optimize_ms));
-    u.stats.optimize_ms = optimize_ms;
-    if (use_cache) {
-      WallTimer t;
-      FGPM_ASSIGN_OR_RETURN(
-          bool served,
-          TryResultCache(self, plan->estimated_cost, &u.rows,
-                         &u.stats.operators, &u.stats.cache_hit));
-      if (served) {
-        u.stats.result_rows = u.rows.size();
-        u.stats.elapsed_ms = optimize_ms + t.ElapsedMillis();
-        continue;
-      }
-    }
-    u.plan = *plan;
-    u.resolvable = ResolveNodeLabels(*db_, *u.canonical, &u.node_labels);
-    u.batch_slot = batch.size();
-    batch.push_back({u.canonical, &u.plan, u.node_labels, u.resolvable});
-    batch_unique.push_back(ui);
+  // Step 2: one Match per unique pattern, run on its canonical form so
+  // the rows come back in canonical node order. Match resolves the plan
+  // and probes/fills the result cache itself.
+  MatchOptions solo = options;
+  solo.transitive_reduction = false;  // already applied in step 1
+  solo.projection.clear();            // applied per spelling in step 3
+  std::vector<MatchResult> unique_results;
+  unique_results.reserve(representatives.size());
+  for (const Member* rep : representatives) {
+    FGPM_ASSIGN_OR_RETURN(MatchResult r, Match(rep->canon.pattern, solo));
+    unique_results.push_back(std::move(r));
   }
 
-  // Phase 3: shared-seed execution of the residue.
-  BatchExecStats bexec;
-  if (!batch.empty()) {
-    std::vector<MatchResult> executed;
-    FGPM_RETURN_IF_ERROR(ExecuteBatch(*db_, batch, executor_.options(),
-                                      executor_.pool(), &batch_scratch_,
-                                      executor_.scratch(), &executed,
-                                      &bexec));
-    for (size_t s = 0; s < executed.size(); ++s) {
-      Unique& u = uniques[batch_unique[s]];
-      u.rows = std::move(executed[s].rows);
-      const double optimize_ms = u.stats.optimize_ms;
-      u.stats = executed[s].stats;
-      u.stats.optimize_ms = optimize_ms;
-      u.stats.elapsed_ms += optimize_ms;
-      if (use_cache) {
-        result_cache_->Insert(*u.key, *u.canonical, u.rows);
-      }
-    }
-    if (use_cache) SyncResultCacheMetrics();
-  }
-
-  // Phase 4: fan the unique answers back out, one column permutation
-  // per caller spelling; repeats beyond the representative read the
-  // shared rows like an exact cache hit.
+  // Step 3: fan the unique answers back out, one column permutation
+  // per caller spelling (node n lives in canonical column node_map[n]),
+  // then that caller's projection. Repeats beyond the representative
+  // read the shared rows like an exact cache hit.
   std::vector<MatchResult> results(patterns.size());
   uint64_t cache_exact = 0, cache_replay = 0;
   for (size_t i = 0; i < patterns.size(); ++i) {
-    const Prepared& p = prep[i];
-    const Unique& u = uniques[p.unique];
-    MatchResult& res = results[i];
+    const Member& m = members[i];
+    const MatchResult& u = unique_results[m.unique];
+    MatchResult res;
     res.stats = u.stats;
-    if (!p.representative) res.stats.cache_hit = 1;
-    for (PatternNodeId n = 0; n < p.effective->num_nodes(); ++n) {
-      res.column_labels.push_back(p.effective->label(n));
+    if (!m.representative) res.stats.cache_hit = 1;
+    const PatternNodeId num_nodes = m.effective->num_nodes();
+    for (PatternNodeId n = 0; n < num_nodes; ++n) {
+      res.column_labels.push_back(m.effective->label(n));
     }
     res.rows.reserve(u.rows.size());
     for (const auto& crow : u.rows) {
-      std::vector<NodeId> row(crow.size());
-      for (PatternNodeId n = 0; n < p.effective->num_nodes(); ++n) {
-        row[n] = crow[p.canon.node_map[n]];
+      std::vector<NodeId> row(num_nodes);
+      for (PatternNodeId n = 0; n < num_nodes; ++n) {
+        row[n] = crow[m.canon.node_map[n]];
       }
       res.rows.push_back(std::move(row));
     }
-    res.stats.result_rows = res.rows.size();
     if (res.stats.cache_hit == 1) ++cache_exact;
     if (res.stats.cache_hit == 2) ++cache_replay;
-    RecordQuery(*p.effective, options.engine, res.stats);
     FGPM_ASSIGN_OR_RETURN(results[i],
-                          Project(std::move(res), *p.effective, options));
+                          Project(std::move(res), *m.effective, options));
   }
 
   if (batch_stats != nullptr) {
     batch_stats->queries = patterns.size();
-    batch_stats->unique_queries = uniques.size();
+    batch_stats->unique_queries = representatives.size();
     batch_stats->cache_exact = cache_exact;
     batch_stats->cache_replay = cache_replay;
-    batch_stats->shared_seed_groups = bexec.shared_seed_groups;
-    batch_stats->shared_seed_reuses = bexec.shared_seed_reuses;
   }
   if (obs::Enabled()) {
     const MatcherMetrics& m = MatcherMetrics::Get();
     m.batch_queries->Increment(patterns.size());
-    m.batch_dedup_hits->Increment(patterns.size() - uniques.size());
-    m.batch_shared_seed_groups->Increment(bexec.shared_seed_groups);
-    m.batch_shared_seed_reuses->Increment(bexec.shared_seed_reuses);
+    m.batch_dedup_hits->Increment(patterns.size() - representatives.size());
   }
   return results;
 }

@@ -29,7 +29,6 @@
 #include "baseline/tsd.h"
 #include "common/status.h"
 #include "core/result_cache.h"
-#include "exec/batch.h"
 #include "exec/engine.h"
 #include "exec/plan.h"
 #include "gdb/database.h"
@@ -78,8 +77,6 @@ struct BatchStats {
   uint64_t unique_queries = 0;   // after canonical-form dedup
   uint64_t cache_exact = 0;      // answered by a result-cache exact hit
   uint64_t cache_replay = 0;     // answered by containment replay
-  uint64_t shared_seed_groups = 0;   // opening groups seeded >= 2 queries
-  uint64_t shared_seed_reuses = 0;   // queries served from a shared seed
 };
 
 // EXPLAIN ANALYZE: the optimizer's estimates, the actual execution, and
@@ -116,14 +113,14 @@ class GraphMatcher {
   Result<MatchResult> Match(std::string_view pattern_text,
                             MatchOptions options = {});
 
-  // Executes a batch of concurrent queries together (planned engines
+  // Answers a batch of concurrent queries (planned engines
   // kDps/kDp/kCanonical only). The batch is deduplicated by canonical
-  // form, probed against the result cache (when enabled), and the
-  // remaining unique queries run through exec/batch.h's shared-seed
-  // executor: queries opening on the same label extents share one base
-  // scan + R-semijoin pass, then fan their pipeline tails out across
-  // the executor's pool. results[i] answers patterns[i] and is
-  // row-identical to a solo Match(patterns[i], options).
+  // form and each unique pattern runs through one Match (which probes
+  // and fills the result cache when enabled); every caller spelling
+  // then gets its column permutation and projection. results[i]
+  // answers patterns[i] and is row-identical to a solo
+  // Match(patterns[i], options). Metrics and the slow-query log see
+  // one Match per unique pattern.
   Result<std::vector<MatchResult>> MatchBatch(
       const std::vector<Pattern>& patterns, MatchOptions options = {},
       BatchStats* batch_stats = nullptr);
@@ -169,7 +166,7 @@ class GraphMatcher {
   void RecordQuery(const Pattern& pattern, Engine engine,
                    const ExecStats& stats);
 
-  // Plan resolution shared by Match, MatchBatch and ExplainAnalyze:
+  // Plan resolution shared by Match and ExplainAnalyze:
   // cache lookup under the pattern's canonical key, optimize on miss,
   // insert when caching is on. Cached plans are stored in canonical
   // coordinates and translated through `canon`'s maps both ways, so
@@ -237,10 +234,9 @@ class GraphMatcher {
     uint64_t hits_exact = 0, hits_containment = 0, misses = 0;
     uint64_t evictions = 0, inserts = 0;
   } synced_;
-  // Reused across MatchBatch calls / containment replays: configuring
-  // either allocates memo tables, so per-call construction would
-  // dominate small batches (see BatchScratch / ReplayContainment docs).
-  BatchScratch batch_scratch_;
+  // Reused across containment replays: configuring them allocates memo
+  // tables, so per-replay construction would dominate (see
+  // ReplayContainment docs).
   std::vector<ReachMemo> replay_memos_;
   // Ring of the most recent slow queries (kSlowLogCapacity newest kept).
   std::deque<SlowQuery> slow_queries_;

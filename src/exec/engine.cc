@@ -122,30 +122,16 @@ void AttachSpanArgs(QueryTrace* trace, uint32_t span, uint64_t rows_in,
   delta("page_reads", 0, io.page_reads);
 }
 
-}  // namespace
-
-void MatchResult::SortRows() { std::sort(rows.begin(), rows.end()); }
-
-bool ResolveNodeLabels(const GraphDatabase& db, const Pattern& pattern,
-                       std::vector<LabelId>* node_labels) {
-  std::vector<LabelId> resolved(pattern.num_nodes());
-  for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
-    auto l = db.catalog().FindLabel(pattern.label(i));
-    if (!l) return false;
-    resolved[i] = *l;
-  }
-  *node_labels = std::move(resolved);
-  return true;
-}
-
+// Runs plan.steps against `table`, with factorized select fusion,
+// per-step stats (steps/step_rows/step_wall_ms/step_absorbed) and
+// optional spans (trace may be null).
 Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, const Plan& plan,
-                    size_t start_step, bool factorized, TemporalTable* table,
-                    ExecStats* stats, QueryTrace* trace, uint32_t query_span,
-                    ThreadPool* pool, ExecScratch* scratch,
-                    uint64_t* wcoj_binds) {
+                    bool factorized, TemporalTable* table, ExecStats* stats,
+                    QueryTrace* trace, uint32_t query_span, ThreadPool* pool,
+                    ExecScratch* scratch, uint64_t* wcoj_binds) {
   const std::vector<PlanStep>& steps = plan.steps;
-  for (size_t si = start_step; si < steps.size(); ++si) {
+  for (size_t si = 0; si < steps.size(); ++si) {
     const PlanStep& step = steps[si];
     size_t absorbed = 0;
     std::vector<uint32_t> fused;
@@ -257,11 +243,12 @@ Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
   return Status::OK();
 }
 
+// The single materialization point: projects `table` into
+// result->rows in pattern-node order (plans bind labels in plan
+// order). Each column of a factorized table is gathered once,
+// sequentially.
 void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
                       MatchResult* result) {
-  // Project to pattern-node order (plans bind labels in plan order).
-  // This is the factorized representation's single materialization
-  // point: each column is gathered once, sequentially.
   if (table.NumColumns() != pattern.num_nodes()) {
     // Execution emptied out before binding all labels — result stays
     // empty, which is correct (an empty intermediate join is empty
@@ -299,6 +286,22 @@ void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
     }
   }
   result->stats.operators.rows_materialized += nrows;
+}
+
+}  // namespace
+
+void MatchResult::SortRows() { std::sort(rows.begin(), rows.end()); }
+
+bool ResolveNodeLabels(const GraphDatabase& db, const Pattern& pattern,
+                       std::vector<LabelId>* node_labels) {
+  std::vector<LabelId> resolved(pattern.num_nodes());
+  for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
+    auto l = db.catalog().FindLabel(pattern.label(i));
+    if (!l) return false;
+    resolved[i] = *l;
+  }
+  *node_labels = std::move(resolved);
+  return true;
 }
 
 Result<MatchResult> Executor::Execute(const Pattern& pattern,
@@ -344,10 +347,10 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
       const bool factorized =
           options_.materialization == Materialization::kFactorized;
       scratch_.BeginQuery();
-      FGPM_RETURN_IF_ERROR(RunPlanSteps(
-          *db_, pattern, node_labels, plan, 0, factorized, &table,
-          &result.stats, trace.get(), query_span, pool_.get(), &scratch_,
-          &wcoj_binds));
+      FGPM_RETURN_IF_ERROR(RunPlanSteps(*db_, pattern, node_labels, plan,
+                                        factorized, &table, &result.stats,
+                                        trace.get(), query_span, pool_.get(),
+                                        &scratch_, &wcoj_binds));
       MaterializeTable(pattern, table, &result);
     }
   }

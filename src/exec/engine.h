@@ -107,25 +107,6 @@ struct ExecOptions {
   JoinStrategy join_strategy = JoinStrategy::kHybrid;
 };
 
-// --- shared plan-pipeline pieces (engine.cc; reused by exec/batch.cc) ----
-// Runs plan.steps[start_step..] against `table`, with factorized select
-// fusion, per-step stats (steps/step_rows/step_wall_ms/step_absorbed)
-// and optional spans (trace may be null). The loop is exactly
-// Executor::Execute's — extracted so batched pipelines can resume from
-// a shared seed table at start_step > 0.
-Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
-                    const std::vector<LabelId>& node_labels, const Plan& plan,
-                    size_t start_step, bool factorized, TemporalTable* table,
-                    ExecStats* stats, QueryTrace* trace, uint32_t query_span,
-                    ThreadPool* pool, ExecScratch* scratch,
-                    uint64_t* wcoj_binds);
-
-// The single materialization point: projects `table` (complete — one
-// column per pattern node) into result->rows in pattern-node order.
-// No-op when execution emptied out before binding every label.
-void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
-                      MatchResult* result);
-
 // Resolves every pattern label against the catalog. Returns false (and
 // leaves node_labels untouched) when any label has no extent — the
 // query's result is empty by definition.
@@ -152,14 +133,10 @@ class Executor {
 
   unsigned num_threads() const { return pool_ ? pool_->size() : 1; }
   const ExecOptions& options() const { return options_; }
-  // The executor's pool (null when single-threaded). Batch execution
-  // and result-cache replay fan their own work out over it between
-  // queries; regular Execute owns it during a query.
+  // The executor's pool (null when single-threaded). Result-cache
+  // replay fans its own work out over it between queries; regular
+  // Execute owns it during a query.
   ThreadPool* pool() { return pool_.get(); }
-  // The executor's per-worker scratch (configured for pool-size workers
-  // at construction). Idle between Execute calls — ExecuteBatch borrows
-  // it for shared-seed builds instead of allocating an identical one.
-  ExecScratch* scratch() { return &scratch_; }
   // Retargets the planner between queries (plans themselves execute
   // under whatever strategy built them). GraphMatcher's plan-cache key
   // includes the strategy, so toggling never replays a stale plan.

@@ -242,34 +242,30 @@ Result<std::unique_ptr<Server>> Server::Start(const Graph* g,
   }
   ShardedMatcherOptions mo = options.matcher;
   mo.num_shards = options.num_shards;
-  if (options.use_shared_scheduler) {
-    // Reserve the server workers as external scheduler participants
-    // *before* the matcher builds its executors, so their ThreadPools
-    // spawn width - num_shards (usually zero) internal threads instead
-    // of a private pool each — one process-wide set of threads.
-    Scheduler::Global().ReserveExternal(options.num_shards);
-    if (mo.exec.num_threads <= 1) {
-      // Default per-query width to the worker count, capped at a
-      // quarter of the shard's buffer-pool frames: each morsel pins
-      // pages while it runs, and a width the pool cannot back turns
-      // hot-shard fan-out into "all frames pinned" query failures.
-      // An explicit exec.num_threads is taken as-is.
-      size_t frames =
-          std::max<size_t>(4, mo.db.buffer_pool_bytes / kPageSize);
-      mo.exec.num_threads = static_cast<unsigned>(std::min<size_t>(
-          options.num_shards, std::max<size_t>(1, frames / 4)));
-    }
+  // Every worker joins the process-wide work-stealing scheduler. The
+  // workers are reserved as external participants *before* the matcher
+  // builds its executors, so their ThreadPools spawn width - num_shards
+  // (usually zero) internal threads instead of a private pool each —
+  // one process-wide set of threads. Released in Stop().
+  Scheduler::Global().ReserveExternal(options.num_shards);
+  if (mo.exec.num_threads <= 1) {
+    // Default per-query width to the worker count (a hot shard's query
+    // fans morsels out to idle workers), capped at a quarter of the
+    // shard's buffer-pool frames: each morsel pins pages while it runs,
+    // and a width the pool cannot back turns hot-shard fan-out into
+    // "all frames pinned" query failures. An explicit exec.num_threads
+    // is taken as-is.
+    size_t frames = std::max<size_t>(4, mo.db.buffer_pool_bytes / kPageSize);
+    mo.exec.num_threads = static_cast<unsigned>(std::min<size_t>(
+        options.num_shards, std::max<size_t>(1, frames / 4)));
   }
   auto matcher_or = ShardedMatcher::Create(g, mo);
   if (!matcher_or.ok()) {
-    if (options.use_shared_scheduler) {
-      Scheduler::Global().ReleaseExternal(options.num_shards);
-    }
+    Scheduler::Global().ReleaseExternal(options.num_shards);
     return matcher_or.status();
   }
   auto server =
       std::unique_ptr<Server>(new Server(std::move(*matcher_or), options));
-  server->sched_reserved_ = options.use_shared_scheduler;
 
   uint16_t port = options.port;
   for (uint32_t i = 0; i < options.num_shards; ++i) {
@@ -316,10 +312,7 @@ void Server::Stop() {
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
-  if (sched_reserved_) {
-    Scheduler::Global().ReleaseExternal(options_.num_shards);
-    sched_reserved_ = false;
-  }
+  Scheduler::Global().ReleaseExternal(options_.num_shards);
   if (profiler_started_) {
     obs::SchedProfiler::Default().Stop();
     profiler_started_ = false;
@@ -327,17 +320,16 @@ void Server::Stop() {
 }
 
 void Server::WorkerMain(Worker* w) {
-  int hook = -1;
-  if (options_.use_shared_scheduler) {
-    char tag[16];
-    std::snprintf(tag, sizeof(tag), "srv%u", w->index);
-    Scheduler::Global().AttachCurrentThread(tag);
-    hook = Scheduler::Global().AddWakeHook(
-        [loop = w->loop.get()] { loop->Wake(); });
-    w->loop->SetIdleHelper(
-        [] { return Scheduler::Global().TryHelp(); },
-        [hook](bool armed) { Scheduler::Global().ArmWakeHook(hook, armed); });
-  }
+  // The epoll loop helps execute queued scheduler morsels between I/O
+  // events and is woken when new morsels are published.
+  char tag[16];
+  std::snprintf(tag, sizeof(tag), "srv%u", w->index);
+  Scheduler::Global().AttachCurrentThread(tag);
+  const int hook = Scheduler::Global().AddWakeHook(
+      [loop = w->loop.get()] { loop->Wake(); });
+  w->loop->SetIdleHelper(
+      [] { return Scheduler::Global().TryHelp(); },
+      [hook](bool armed) { Scheduler::Global().ArmWakeHook(hook, armed); });
   Status st = w->loop->Add(w->listen_fd, EPOLLIN, [this, w](uint32_t) {
     HandleListen(w);
   });
@@ -346,10 +338,8 @@ void Server::WorkerMain(Worker* w) {
   for (auto& [id, c] : w->conns) close(c->fd);
   w->conns.clear();
   close(w->listen_fd);
-  if (hook >= 0) {
-    Scheduler::Global().RemoveWakeHook(hook);
-    Scheduler::Global().DetachCurrentThread();
-  }
+  Scheduler::Global().RemoveWakeHook(hook);
+  Scheduler::Global().DetachCurrentThread();
 }
 
 std::vector<QueryTrace> Server::RecentTraces() {

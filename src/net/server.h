@@ -79,14 +79,6 @@ struct ServerOptions {
   // When > 0, starts the scheduler sampling profiler (SchedProfiler)
   // with this sampling period; folded stacks at /debug/profile.
   uint64_t profile_sample_us = 0;
-  // Join every worker to the process-wide work-stealing scheduler: the
-  // workers are reserved as external scheduler participants (so shard
-  // executors spawn no extra threads), matcher.exec.num_threads
-  // defaults to num_shards (a hot shard's query fans morsels out to
-  // idle workers), and each worker's epoll loop helps execute queued
-  // morsels between I/O events. false reproduces the pre-scheduler
-  // thread-per-shard behavior exactly (the bench_sched A/B baseline).
-  bool use_shared_scheduler = true;
 };
 
 class Server {
@@ -144,7 +136,6 @@ class Server {
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
   bool stopped_ = false;
-  bool sched_reserved_ = false;  // workers counted via ReserveExternal
   bool profiler_started_ = false;
 
   // Global completion order for merging per-worker trace rings.

@@ -157,9 +157,9 @@ TEST(ContainmentTest, SingleNodePatterns) {
 TEST(ContainmentTest, SelfLoopsAndDuplicateEdgesAreUnrepresentable) {
   // The canonical-form and containment arguments lean on patterns
   // rejecting self-loops and duplicate edges (a pattern's edge multiset
-  // is a set, and (other-label, direction) identifies an edge uniquely
-  // — exec/batch.cc's seed translation depends on that). Pin the
-  // invariant here so a parser change can't silently invalidate them.
+  // is a set, and (other-label, direction) identifies an edge
+  // uniquely). Pin the invariant here so a parser change can't silently
+  // invalidate them.
   Pattern p;
   PatternNodeId a = p.AddNode("A");
   PatternNodeId b = p.AddNode("B");

@@ -1,10 +1,11 @@
 // Semantic result cache + batched multi-query execution (ctest label
 // `mqo`): canonical plan-cache keys, exact/containment cache hits,
 // replay differentials against fresh execution across engines x join
-// strategies x thread counts, MatchBatch row-identity, epoch
+// strategies x thread counts, MatchBatch row-identity (same axes), epoch
 // invalidation after ApplyEdgeInsert, and the metrics export.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -15,12 +16,6 @@
 
 namespace fgpm {
 namespace {
-
-Pattern P(std::string_view text) {
-  auto p = Pattern::Parse(text);
-  EXPECT_TRUE(p.ok()) << text << ": " << p.status();
-  return *p;
-}
 
 std::unique_ptr<GraphMatcher> MakeMatcher(const Graph& g, ExecOptions eo) {
   auto m = GraphMatcher::Create(&g, {}, eo);
@@ -185,21 +180,51 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(JoinStrategy::kBinary,
                                          JoinStrategy::kHybrid)));
 
-// MatchBatch: results must be row-identical to per-query Match, with
-// dedup and shared seeds doing their accounting.
-class BatchDifferential : public ::testing::TestWithParam<unsigned> {};
+// MatchBatch: results must be row-identical to per-query Match across
+// thread counts x engines x join strategies, with dedup doing its
+// accounting.
+struct BatchCase {
+  unsigned threads;
+  Engine engine;
+  JoinStrategy strategy;
+};
+
+// ctest names each case after its printed parameter: the default
+// configuration (DPS, hybrid) prints as the bare thread count, the
+// others spell out engine and strategy.
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << c.threads;
+  if (c.engine != Engine::kDps || c.strategy != JoinStrategy::kHybrid) {
+    *os << "_" << EngineName(c.engine) << "_" << JoinStrategyName(c.strategy);
+  }
+}
+
+std::vector<BatchCase> BatchCases() {
+  std::vector<BatchCase> cases;
+  for (unsigned t : {1u, 4u, 8u}) {
+    for (Engine e : {Engine::kDps, Engine::kDp, Engine::kCanonical}) {
+      for (JoinStrategy s : {JoinStrategy::kBinary, JoinStrategy::kHybrid}) {
+        cases.push_back({t, e, s});
+      }
+    }
+  }
+  return cases;
+}
+
+class BatchDifferential : public ::testing::TestWithParam<BatchCase> {};
 
 TEST_P(BatchDifferential, MatchesSoloExecution) {
-  const unsigned threads = GetParam();
+  const auto [threads, engine, strategy] = GetParam();
   Graph g = gen::ErdosRenyi(400, 1600, 5, 31);
   ExecOptions eo;
   eo.num_threads = threads;
+  eo.join_strategy = strategy;
   auto m = MakeMatcher(g, eo);
   auto solo = MakeMatcher(g, eo);
   std::vector<std::string> batch = {
       "L0->L1; L1->L2",
       "L1->L2; L0->L1",          // spelling of #0: dedup
-      "L0->L1; L0->L2",          // same scan-base opening as #0 under DPS
+      "L0->L1; L0->L2",          // star sharing #0's L0->L1 edge
       "L1->L2; L1->L3",
       "L0->L1; L1->L2; L0->L2",  // chord
       "L2->L3",
@@ -207,21 +232,22 @@ TEST_P(BatchDifferential, MatchesSoloExecution) {
       "L3->L4; L2->L3",
   };
   BatchStats bs;
-  auto results = m->MatchBatch(batch, {}, &bs);
+  auto results = m->MatchBatch(batch, {.engine = engine}, &bs);
   ASSERT_TRUE(results.ok()) << results.status();
   ASSERT_EQ(results->size(), batch.size());
   EXPECT_EQ(bs.queries, batch.size());
-  EXPECT_LT(bs.unique_queries, batch.size());  // dedup happened
+  EXPECT_EQ(bs.unique_queries, batch.size() - 2);  // #1 and #6 dedup
   for (size_t i = 0; i < batch.size(); ++i) {
     MatchResult& r = (*results)[i];
     r.SortRows();
-    EXPECT_EQ(r.rows, SortedRows(solo->Match(batch[i])))
-        << "t=" << threads << " query " << i << ": " << batch[i];
+    EXPECT_EQ(r.rows, SortedRows(solo->Match(batch[i], {.engine = engine})))
+        << EngineName(engine) << " " << JoinStrategyName(strategy)
+        << " t=" << threads << " query " << i << ": " << batch[i];
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BatchDifferential,
-                         ::testing::Values(1u, 4u, 8u));
+                         ::testing::ValuesIn(BatchCases()));
 
 TEST(BatchTest, CacheAndBatchCompose) {
   Graph g = gen::ErdosRenyi(300, 1200, 4, 37);

@@ -1,8 +1,8 @@
 // Work-stealing scheduler tests (label: sched, concurrency):
 //  * TaskDeque (Chase-Lev) unit + multi-thief stress — the TSan-critical
 //    piece of the scheduler.
-//  * Nested parallel regions actually run (the fork-join pool forbade
-//    them; the scheduler executes them with the blocked caller helping).
+//  * Nested parallel regions actually run (the scheduler executes them
+//    with the blocked caller helping).
 //  * Adaptive splitting: a skewed region splits morsels once other
 //    participants starve.
 //  * External participation: TryHelp executes queued morsels, armed
@@ -12,8 +12,6 @@
 //    while a noise thread keeps the scheduler under steal pressure.
 //  * Server thread accounting: shards=2 with exec threads=4 must NOT
 //    multiply into shards x exec threads (the old oversubscription).
-//  * ForkJoinPool (legacy A/B baseline) still satisfies the coverage
-//    contract, and asserts on reentrant use in debug builds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -110,9 +108,8 @@ TEST(TaskDequeTest, ConcurrentStealStress) {
   }
 }
 
-// A ParallelFor body opening another region — forbidden on the old
-// fork-join pool — runs to completion with full coverage of both
-// levels, from any mix of pools.
+// A ParallelFor body opening another region runs to completion with
+// full coverage of both levels, from any mix of pools.
 TEST(SchedulerTest, NestedRegionsRun) {
   constexpr size_t kOuter = 64, kInner = 32;
   ThreadPool outer(4), inner(4);
@@ -344,48 +341,6 @@ TEST(ServerThreadCount, SharedSchedulerAvoidsOversubscription) {
 
   (*server)->Stop();
 }
-
-// --- legacy fork-join pool (A/B baseline) ----------------------------------
-
-void CheckForkJoinCoverage(unsigned threads, size_t n, size_t chunk_size) {
-  ForkJoinPool pool(threads);
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h = 0;
-  std::atomic<size_t> chunks_run{0};
-  pool.ParallelFor(n, chunk_size, [&](unsigned worker, size_t chunk,
-                                      size_t begin, size_t end) {
-    EXPECT_LT(worker, pool.size());
-    EXPECT_EQ(begin, chunk * chunk_size);
-    EXPECT_EQ(end, std::min(n, begin + chunk_size));
-    ++chunks_run;
-    for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  EXPECT_EQ(chunks_run.load(), ThreadPool::NumChunks(n, chunk_size));
-  for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ForkJoinPoolTest, CoverageContractHolds) {
-  for (unsigned threads : {1u, 2u, 4u}) {
-    for (size_t n : {1ull, 7ull, 64ull, 1000ull}) {
-      CheckForkJoinCoverage(threads, n, 3);
-      CheckForkJoinCoverage(threads, n, 64);
-    }
-  }
-}
-
-#if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
-TEST(ForkJoinPoolDeathTest, ReentrantRegionAsserts) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        ForkJoinPool pool(2);
-        pool.ParallelFor(64, 4, [&](unsigned, size_t, size_t, size_t) {
-          pool.ParallelFor(8, 1, [](unsigned, size_t, size_t, size_t) {});
-        });
-      },
-      "FGPM_CHECK failed");
-}
-#endif
 
 }  // namespace
 }  // namespace fgpm
