@@ -2,18 +2,8 @@
 #
 #   make build        - configure + build the regular tree (./build)
 #   make test         - regular build + full ctest suite
-#   make bench-codes  - build + run the code-layout A/B bench
-#                       (writes BENCH_codes.json in the repo root)
-#   make bench-exec   - build + run the eager-vs-factorized
-#                       materialization bench
-#                       (writes BENCH_materialization.json)
 #   make bench-obs    - build + run the observability overhead A/B
 #                       (writes BENCH_obs.json)
-#   make bench-wcoj   - build + run the binary vs WCOJ vs hybrid join
-#                       strategy bench (writes BENCH_wcoj.json)
-#   make bench-multiquery - build + run the Zipfian multi-client
-#                       result-cache + MatchBatch A/B
-#                       (writes BENCH_multiquery.json)
 #   make bench-server - build + run the open-loop query-server bench
 #                       over real sockets at 1/2/4/8 shards
 #                       (writes BENCH_server.json)
@@ -22,6 +12,8 @@
 #                       perfbench/ compiles ../src with its own
 #                       CMakeLists, so run this after editing
 #                       src/CMakeLists.txt or a public header
+#                       (the tier-1 build also compiles perfbench's
+#                       sources, so a broken field shows up there first)
 #   make verify-tsan  - ThreadSanitizer pass over the concurrency +
 #                       reach + exec + obs + wcoj + mqo + net + sched
 #                       tests (the Chase-Lev deque is the TSan-critical
@@ -42,7 +34,7 @@ TSAN_BUILD_DIR ?= build-tsan
 ASAN_BUILD_DIR ?= build-asan
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test bench-codes bench-exec bench-obs bench-wcoj bench-multiquery bench-server bench-selftest verify-tsan verify-asan
+.PHONY: build test bench-obs bench-server bench-selftest verify-tsan verify-asan
 
 build:
 	cmake -B $(BUILD_DIR) -S .
@@ -51,25 +43,9 @@ build:
 test: build
 	ctest --test-dir $(BUILD_DIR) --output-on-failure -j $(JOBS)
 
-bench-codes: build
-	cd $(BUILD_DIR)/bench && ./bench_codes
-	cp $(BUILD_DIR)/bench/BENCH_codes.json BENCH_codes.json
-
-bench-exec: build
-	cd $(BUILD_DIR)/bench && ./bench_materialization
-	cp $(BUILD_DIR)/bench/BENCH_materialization.json BENCH_materialization.json
-
 bench-obs: build
 	cd $(BUILD_DIR)/bench && ./bench_obs_overhead
 	cp $(BUILD_DIR)/bench/BENCH_obs.json BENCH_obs.json
-
-bench-wcoj: build
-	cd $(BUILD_DIR)/bench && ./bench_wcoj
-	cp $(BUILD_DIR)/bench/BENCH_wcoj.json BENCH_wcoj.json
-
-bench-multiquery: build
-	cd $(BUILD_DIR)/bench && ./bench_multiquery
-	cp $(BUILD_DIR)/bench/BENCH_multiquery.json BENCH_multiquery.json
 
 bench-server: build
 	cd $(BUILD_DIR)/bench && ./bench_server

@@ -14,8 +14,9 @@ namespace {
 
 // --- shared scalar pieces ---------------------------------------------------
 
-// Plain branch-light merge — the seed kernel, also every SIMD kernel's
-// tail loop once fewer than a full block remains on either side.
+// Plain branch-light merge: the tail loop of every blocked kernel once
+// fewer than a full block remains on either side, and the materializing
+// kernel wherever no SIMD lane compaction is available.
 bool SeedIntersects(const uint32_t* a, size_t na, const uint32_t* b,
                     size_t nb) {
   size_t ia = 0, ib = 0;
@@ -221,8 +222,6 @@ struct Vtbl {
   IntersectKernel kind;
 };
 
-constexpr Vtbl kSeedVtbl{SeedIntersects, SeedIntersect,
-                         IntersectKernel::kSeed};
 constexpr Vtbl kScalarVtbl{ScalarIntersects, SeedIntersect,
                            IntersectKernel::kScalar};
 #ifdef FGPM_X86
@@ -249,8 +248,6 @@ const Vtbl* Detect() {
 
 const Vtbl* Lookup(IntersectKernel k) {
   switch (k) {
-    case IntersectKernel::kSeed:
-      return &kSeedVtbl;
     case IntersectKernel::kScalar:
       return &kScalarVtbl;
 #ifdef FGPM_X86
@@ -292,8 +289,6 @@ const char* IntersectKernelName(IntersectKernel k) {
   switch (k) {
     case IntersectKernel::kAuto:
       return "auto";
-    case IntersectKernel::kSeed:
-      return "seed";
     case IntersectKernel::kScalar:
       return "scalar";
     case IntersectKernel::kSse:

@@ -17,11 +17,10 @@
 //  * kAvx2 — 8x8 block variant via `_mm256_permutevar8x32_epi32`
 //    rotations, selected when `__builtin_cpu_supports("avx2")`.
 //
-// kSeed is the pre-kernel scalar merge kept callable for A/B baselines
-// (bench_codes) and differential tests. All kernels require *strictly*
-// increasing inputs (sets, no duplicates) — which every call site
-// guarantees — and produce identical results (tests/common_test.cc
-// cross-checks them exhaustively on adversarial shapes).
+// All kernels require *strictly* increasing inputs (sets, no
+// duplicates) — which every call site guarantees — and produce
+// identical results (tests/common_test.cc cross-checks them
+// exhaustively on adversarial shapes).
 #ifndef FGPM_COMMON_INTERSECT_KERNELS_H_
 #define FGPM_COMMON_INTERSECT_KERNELS_H_
 
@@ -33,13 +32,12 @@ namespace fgpm {
 
 enum class IntersectKernel : int {
   kAuto = 0,    // runtime dispatch: AVX2 > SSE > scalar
-  kSeed = 1,    // branch-light scalar merge (baseline for A/B runs)
   kScalar = 2,  // unrolled branch-free two-pointer, 64-bit word compares
   kSse = 3,
   kAvx2 = 4,
 };
 
-// Forces a specific kernel (tests and bench A/B); kAuto restores CPU
+// Forces a specific kernel (tests and benches); kAuto restores CPU
 // dispatch. Returns false (and keeps the current choice) if the CPU
 // lacks the requested ISA. Not thread-safe against in-flight probes —
 // call between workloads.

@@ -161,32 +161,24 @@ Result<Plan> GraphMatcher::MakePlan(const Pattern& pattern, Engine engine) const
 }
 
 const Plan* GraphMatcher::LookupPlan(const std::string& key) {
-  auto it = plan_cache_.find(key);
-  if (it == plan_cache_.end()) {
+  const Plan* plan = plan_cache_.Get(key);
+  if (plan == nullptr) {
     ++plan_cache_misses_;
     if (obs::Enabled()) MatcherMetrics::Get().plan_cache_misses->Increment();
-    return nullptr;
+  } else {
+    ++plan_cache_hits_;
+    if (obs::Enabled()) MatcherMetrics::Get().plan_cache_hits->Increment();
   }
-  ++plan_cache_hits_;
-  if (obs::Enabled()) MatcherMetrics::Get().plan_cache_hits->Increment();
-  plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_pos);
-  return &it->second.plan;
+  return plan;
 }
 
-const Plan* GraphMatcher::CachePlan(const std::string& key, Plan plan) {
-  const size_t capacity = executor_.options().plan_cache_capacity;
-  FGPM_CHECK(capacity > 0);  // callers skip the cache when disabled
-  while (plan_cache_.size() >= capacity) {
-    plan_cache_.erase(plan_lru_.back());
-    plan_lru_.pop_back();
-    ++plan_cache_evictions_;
-    if (obs::Enabled()) MatcherMetrics::Get().plan_cache_evictions->Increment();
+void GraphMatcher::CachePlan(const std::string& key, Plan plan) {
+  const uint64_t evictions = plan_cache_.evictions();
+  plan_cache_.Put(key, std::move(plan), /*weight=*/1);
+  if (obs::Enabled()) {
+    MatcherMetrics::Get().plan_cache_evictions->Increment(
+        plan_cache_.evictions() - evictions);
   }
-  plan_lru_.push_front(key);
-  auto [it, inserted] =
-      plan_cache_.emplace(key, CachedPlan{std::move(plan), plan_lru_.begin()});
-  FGPM_CHECK(inserted);  // callers look up before inserting
-  return &it->second.plan;
 }
 
 Result<const Plan*> GraphMatcher::ResolvePlan(const Pattern& pattern,

@@ -18,15 +18,14 @@
 #define FGPM_CORE_GRAPH_MATCHER_H_
 
 #include <deque>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "baseline/igmj.h"
 #include "baseline/tsd.h"
+#include "common/lru_cache.h"
 #include "common/status.h"
 #include "core/result_cache.h"
 #include "exec/engine.h"
@@ -152,7 +151,8 @@ class GraphMatcher {
                ExecOptions exec_options)
       : graph_(g),
         db_(std::move(db)),
-        executor_(db_.get(), exec_options) {
+        executor_(db_.get(), exec_options),
+        plan_cache_(exec_options.plan_cache_capacity) {
     seen_epoch_ = db_->epoch();
   }
 
@@ -197,10 +197,8 @@ class GraphMatcher {
   void SyncResultCacheMetrics();
 
   // Caches a freshly optimized plan, evicting the least recently used
-  // entry when over capacity (must be > 0). Returns the cached plan
-  // (stable address: unordered_map never moves mapped values on rehash
-  // or other-entry erase).
-  const fgpm::Plan* CachePlan(const std::string& key, fgpm::Plan plan);
+  // entry when at capacity.
+  void CachePlan(const std::string& key, fgpm::Plan plan);
   // Cache lookup; refreshes recency on hit and bumps the hit/miss
   // counters.
   const fgpm::Plan* LookupPlan(const std::string& key);
@@ -210,18 +208,11 @@ class GraphMatcher {
   Executor executor_;
   std::unique_ptr<IntDpEngine> intdp_;           // lazy
   std::unique_ptr<TsdEngine> tsd_;               // lazy; DAG data only
-  // Bounded LRU plan cache keyed by "<engine>|<pattern text>". The list
-  // holds keys in recency order (front = most recent); entries point at
-  // their list position for O(1) refresh.
-  struct CachedPlan {
-    fgpm::Plan plan;
-    std::list<std::string>::iterator lru_pos;
-  };
-  std::list<std::string> plan_lru_;
-  std::unordered_map<std::string, CachedPlan> plan_cache_;
+  // Bounded LRU plan cache (see ResolvePlan for the key). Each plan
+  // weighs 1, so the budget is ExecOptions::plan_cache_capacity plans.
+  LruCache<std::string, fgpm::Plan> plan_cache_;
   uint64_t plan_cache_hits_ = 0;
   uint64_t plan_cache_misses_ = 0;
-  uint64_t plan_cache_evictions_ = 0;
   uint64_t cache_invalidations_ = 0;
   // Semantic result cache (null until the first query with
   // use_result_cache on). seen_epoch_ tracks GraphDatabase::epoch() so
@@ -256,10 +247,7 @@ class GraphMatcher {
     return executor_.options().join_strategy;
   }
   // Invalidate cached plans (after ApplyEdgeInsert shifts statistics).
-  void ClearPlanCache() {
-    plan_cache_.clear();
-    plan_lru_.clear();
-  }
+  void ClearPlanCache() { plan_cache_.Clear(); }
   // ClearPlanCache plus invalidation accounting — what the automatic
   // epoch check runs. Exposed so callers that mutate statistics outside
   // ApplyEdgeInsert can force the same path.
@@ -268,13 +256,11 @@ class GraphMatcher {
   // The semantic result cache; null until the first query ran with
   // ExecOptions::use_result_cache set.
   const ResultCache* result_cache() const { return result_cache_.get(); }
-  uint64_t plan_cache_evictions() const { return plan_cache_evictions_; }
+  uint64_t plan_cache_evictions() const { return plan_cache_.evictions(); }
   uint64_t cache_invalidations() const { return cache_invalidations_; }
   size_t plan_cache_size() const { return plan_cache_.size(); }
   // Capacity comes from ExecOptions::plan_cache_capacity (0 disables).
-  size_t plan_cache_capacity() const {
-    return executor_.options().plan_cache_capacity;
-  }
+  size_t plan_cache_capacity() const { return plan_cache_.budget(); }
   uint64_t plan_cache_hits() const { return plan_cache_hits_; }
   uint64_t plan_cache_misses() const { return plan_cache_misses_; }
 };

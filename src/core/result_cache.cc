@@ -13,8 +13,8 @@ namespace fgpm {
 namespace {
 
 // Bookkeeping bytes per entry beyond the row block: the key lives twice
-// (map + LRU list), plus map node / list node / Entry overhead. An
-// estimate is fine — the budget bounds memory, it does not meter it.
+// (LRU index + LRU list), plus index node / list node / Entry overhead.
+// An estimate is fine — the budget bounds memory, it does not meter it.
 size_t EntryBytes(const std::string& key, size_t num_ids) {
   return num_ids * sizeof(NodeId) + 2 * key.size() + 160;
 }
@@ -22,18 +22,17 @@ size_t EntryBytes(const std::string& key, size_t num_ids) {
 }  // namespace
 
 const ResultCache::Entry* ResultCache::LookupExact(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  ++hits_exact_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  return &it->second;
+  const Entry* e = entries_.Get(key);
+  if (e != nullptr) ++hits_exact_;
+  return e;
 }
 
 std::optional<ResultCache::ContainmentHit> ResultCache::FindContaining(
     const Pattern& specific) {
   const Entry* best = nullptr;
+  const std::string* best_key = nullptr;
   ContainmentMapping best_mapping;
-  for (const auto& [key, entry] : entries_) {
+  for (const auto& [key, entry, weight] : entries_) {
     if (entry.pattern.num_nodes() != specific.num_nodes()) continue;
     auto m = Contains(entry.pattern, specific);
     if (!m) continue;
@@ -44,11 +43,12 @@ std::optional<ResultCache::ContainmentHit> ResultCache::FindContaining(
          entry.num_rows < best->num_rows);
     if (better) {
       best = &entry;
+      best_key = &key;
       best_mapping = std::move(*m);
     }
   }
   if (best == nullptr) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, best->lru_pos);
+  entries_.Get(*best_key);  // refresh recency
   return ContainmentHit{best, std::move(best_mapping)};
 }
 
@@ -56,45 +56,20 @@ void ResultCache::Insert(const std::string& key, Pattern pattern,
                          const std::vector<std::vector<NodeId>>& rows) {
   const size_t arity = pattern.num_nodes();
   const size_t entry_bytes = EntryBytes(key, rows.size() * arity);
-  if (entry_bytes > budget_) return;  // would evict everything for nothing
-
-  auto it = entries_.find(key);
-  if (it != entries_.end()) Evict(key);
-
-  while (!entries_.empty() && bytes_ + entry_bytes > budget_) {
-    Evict(lru_.back());
-    ++evictions_;
-  }
+  // Would evict everything for nothing; skip before copying the rows.
+  if (entry_bytes > entries_.budget()) return;
 
   Entry e;
   e.pattern = std::move(pattern);
   e.arity = arity;
   e.num_rows = rows.size();
-  e.bytes = entry_bytes;
   e.rows.reserve(rows.size() * arity);
   for (const auto& row : rows) {
     FGPM_CHECK(row.size() == arity);
     e.rows.insert(e.rows.end(), row.begin(), row.end());
   }
-  lru_.push_front(key);
-  e.lru_pos = lru_.begin();
-  bytes_ += entry_bytes;
+  entries_.Put(key, std::move(e), entry_bytes);
   ++inserts_;
-  entries_.emplace(key, std::move(e));
-}
-
-void ResultCache::Evict(const std::string& key) {
-  auto it = entries_.find(key);
-  FGPM_CHECK(it != entries_.end());
-  bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
-}
-
-void ResultCache::Clear() {
-  entries_.clear();
-  lru_.clear();
-  bytes_ = 0;
 }
 
 Status ReplayContainment(const GraphDatabase& db, const Pattern& specific,
@@ -131,10 +106,9 @@ Status ReplayContainment(const GraphDatabase& db, const Pattern& specific,
   // only first use (or a worker-count bump) pays; repeats epoch-clear.
   std::vector<ReachMemo>& memos = *memos_pool;
   if (memos.size() < workers) memos.resize(workers);
-  const size_t memo_entries = db.options().reach_cache_entries;
   for (auto& m : memos) {
-    if (!m.enabled() && memo_entries > 0) {
-      m.Reset(memo_entries);
+    if (!m.enabled()) {
+      m.Reset(kReachMemoEntries);
     } else {
       m.Clear();
     }

@@ -10,20 +10,19 @@
 //     per row with graph-code reachability probes (ReplayContainment).
 //
 // Rows are stored flattened in canonical node order, so one entry
-// serves every spelling of its pattern. Eviction is LRU by bytes; a
-// single result larger than the whole budget is never cached. The cache
-// is deliberately single-threaded (owned by one GraphMatcher, like the
-// plan cache); invalidation is the owner's job — GraphMatcher drops the
-// whole cache when GraphDatabase::epoch() moves.
+// serves every spelling of its pattern. Eviction is LRU by bytes
+// (common/lru_cache.h); a single result larger than the whole budget is
+// never cached. The cache is deliberately single-threaded (owned by one
+// GraphMatcher, like the plan cache); invalidation is the owner's job —
+// GraphMatcher drops the whole cache when GraphDatabase::epoch() moves.
 #ifndef FGPM_CORE_RESULT_CACHE_H_
 #define FGPM_CORE_RESULT_CACHE_H_
 
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/parallel.h"
 #include "common/status.h"
 #include "exec/engine.h"
@@ -36,15 +35,13 @@ namespace fgpm {
 
 class ResultCache {
  public:
-  explicit ResultCache(size_t budget_bytes) : budget_(budget_bytes) {}
+  explicit ResultCache(size_t budget_bytes) : entries_(budget_bytes) {}
 
   struct Entry {
     Pattern pattern;           // canonical coordinates
     std::vector<NodeId> rows;  // row-major, arity ids per row
     size_t arity = 0;
     size_t num_rows = 0;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_pos;
   };
 
   // Exact lookup; refreshes recency and bumps hits_exact on success.
@@ -75,28 +72,22 @@ class ResultCache {
   void Insert(const std::string& key, Pattern pattern,
               const std::vector<std::vector<NodeId>>& rows);
 
-  void Clear();
+  void Clear() { entries_.Clear(); }
 
   size_t size() const { return entries_.size(); }
-  size_t bytes() const { return bytes_; }
-  size_t budget_bytes() const { return budget_; }
+  size_t bytes() const { return entries_.weight(); }
+  size_t budget_bytes() const { return entries_.budget(); }
   uint64_t hits_exact() const { return hits_exact_; }
   uint64_t hits_containment() const { return hits_containment_; }
   uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
+  uint64_t evictions() const { return entries_.evictions(); }
   uint64_t inserts() const { return inserts_; }
 
  private:
-  void Evict(const std::string& key);
-
-  size_t budget_;
-  size_t bytes_ = 0;
-  std::list<std::string> lru_;  // front = most recent
-  std::unordered_map<std::string, Entry> entries_;
+  LruCache<std::string, Entry> entries_;  // weighted by EntryBytes
   uint64_t hits_exact_ = 0;
   uint64_t hits_containment_ = 0;
   uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
   uint64_t inserts_ = 0;
 };
 

@@ -120,8 +120,7 @@ class Executor {
     if (ResolveThreads(options.num_threads) > 1) {
       pool_ = std::make_unique<ThreadPool>(options.num_threads);
     }
-    scratch_.Configure(pool_ ? pool_->size() : 1,
-                       db->options().reach_cache_entries);
+    scratch_.Configure(pool_ ? pool_->size() : 1, kReachMemoEntries);
   }
 
   // Validates and runs `plan` for `pattern`. A pattern label absent from

@@ -127,7 +127,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
   const bool chained = !table->deltas().empty();
   const bool factorized = table->mode() == Materialization::kFactorized;
   const std::vector<NodeId>& rows = table->raw_rows();
-  const uint32_t bitmap_threshold = db.options().code_bitmap_threshold;
 
   // Gathered bound columns (delta-chained tables only), shared when two
   // constraints probe the same column.
@@ -231,7 +230,7 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
             std::unique(ent->values.begin(), ent->values.end()),
             ent->values.end());
       }
-      if (bitmap_threshold != 0 && ent->values.size() >= bitmap_threshold) {
+      if (ent->values.size() >= kDefaultCodeBitmapThreshold) {
         BuildChunkedBitmap(ent->values.data(), ent->values.size(),
                            &ent->chunk_ids, &ent->words);
       }

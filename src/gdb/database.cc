@@ -136,10 +136,10 @@ Result<std::unique_ptr<GraphDatabase>> GraphDatabase::Open(
   db->wtable_ = std::make_unique<WTable>(std::move(wt));
   FGPM_RETURN_IF_ERROR(db->catalog_.LoadMeta(&r));
   FGPM_RETURN_IF_ERROR(db->labeling_.LoadMeta(&r));
-  // The sidecar layout is derived data: the opening database's knob
-  // wins over whatever threshold the file was built with.
-  if (db->labeling_.bitmap_threshold() != options.code_bitmap_threshold) {
-    db->labeling_.SetBitmapThreshold(options.code_bitmap_threshold);
+  // The sidecar layout is derived data: a file built with another
+  // threshold is re-derived at the current one.
+  if (db->labeling_.bitmap_threshold() != kDefaultCodeBitmapThreshold) {
+    db->labeling_.SetBitmapThreshold(kDefaultCodeBitmapThreshold);
   }
   if (db->tables_.size() != db->catalog_.num_labels()) {
     return Status::Corruption("table count disagrees with catalog");
@@ -177,8 +177,7 @@ GraphDatabase::GraphDatabase(GraphDatabaseOptions options)
       pool_(std::make_unique<BufferPool>(
           disk_.get(),
           BufferPoolOptions{options.buffer_pool_bytes,
-                            options.buffer_pool_shards,
-                            options.buffer_pool_latch_across_io})) {
+                            options.buffer_pool_shards})) {
   cache_enabled_ = options_.code_cache_capacity > 0;
   if (cache_enabled_) {
     num_stripes_ = ResolveStripes(options_.code_cache_stripes,
@@ -201,9 +200,8 @@ Status GraphDatabase::Build(const Graph& g) {
   built_ = true;
 
   labeling_ = options_.use_greedy_cover
-                  ? BuildTwoHopGreedy(g, options_.code_bitmap_threshold)
-                  : BuildTwoHopPruned(g, options_.build_threads,
-                                      options_.code_bitmap_threshold);
+                  ? BuildTwoHopGreedy(g)
+                  : BuildTwoHopPruned(g, options_.build_threads);
 
   if (!options_.owned_labels.empty() &&
       options_.owned_labels.size() != g.NumLabels()) {

@@ -51,19 +51,6 @@ struct GraphDatabaseOptions {
   // shared_mutex, so concurrent getCenters probes only contend when two
   // workers hash to the same stripe.
   size_t code_cache_stripes = 0;
-  // Hold the buffer-pool shard latch across disk reads (the pre-sharding
-  // pool's behavior). Only bench_concurrency sets this, as the A/B
-  // baseline for the de-serialized miss path.
-  bool buffer_pool_latch_across_io = false;
-  // Code length at which a center's in()/out() code gets a chunked
-  // bitmap sidecar in the labeling (hub x hub probes become word-AND
-  // loops). 0 keeps every probe on the flat sorted arrays. See
-  // kDefaultCodeBitmapThreshold.
-  uint32_t code_bitmap_threshold = kDefaultCodeBitmapThreshold;
-  // Entries in each per-worker reachability memo the executor consults
-  // from the HPSJ filter and select operators (rounded up to a power of
-  // two). The memo is cleared per query; 0 disables memoization.
-  size_t reach_cache_entries = 65536;
   // Label ownership filter for sharded serving (src/shard). Empty = own
   // every label (the default, and the only mode non-sharded callers
   // use). When set (one byte per label, nonzero = owned), Build still

@@ -27,6 +27,10 @@
 
 namespace fgpm {
 
+// Entries in each per-worker memo the executor consults from the HPSJ
+// filter and select operators (rounded up to a power of two).
+inline constexpr size_t kReachMemoEntries = 65536;
+
 class ReachMemo {
  public:
   ReachMemo() = default;

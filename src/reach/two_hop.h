@@ -65,8 +65,7 @@ using CenterId = uint32_t;
 // Code length at or above which a center gets a bitmap sidecar. The
 // priority renumbering makes hub codes dense in small center ids, so a
 // few hundred entries already span few chunks; below this, the SIMD
-// array kernels win. GraphDatabaseOptions::code_bitmap_threshold
-// overrides per database.
+// array kernels win.
 inline constexpr uint32_t kDefaultCodeBitmapThreshold = 128;
 
 class TwoHopLabeling {

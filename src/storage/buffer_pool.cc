@@ -68,7 +68,6 @@ BufferPool::BufferPool(DiskManager* disk, const BufferPoolOptions& options)
                              "Buffer pool fetches that read from disk");
   m_evictions_ = reg.GetCounter("fgpm_bufferpool_evictions_total",
                                 "Frames evicted to make room");
-  latch_across_io_ = options.latch_across_io;
   num_frames_ = std::max<size_t>(4, options.pool_bytes / kPageSize);
   frames_ = std::make_unique<Frame[]>(num_frames_);
   size_t nshards = ResolveShards(options.num_shards, num_frames_);
@@ -168,20 +167,13 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   FGPM_ASSIGN_OR_RETURN(size_t f, GrabFrame(sh));
   Frame& fr = frames_[f];
   InstallFrame(sh, f, id, /*dirty=*/false);
-  if (latch_across_io_) {
-    // Pre-sharding behavior (A/B baseline): the read happens with the
-    // shard latch held, blocking every other fetch on the shard.
-    Status s = disk_->ReadPage(id, &fr.page);
-    FGPM_CHECK(s.ok());  // id validated above; pages are never deleted
-    return PageGuard(this, f, id);
-  }
   // Publish the frame as loading, then read outside the latch so misses
   // overlap with each other and with hits. The frame is pinned, so it
   // cannot be evicted; same-page fetchers wait on io_busy above.
   fr.io_busy.store(true, std::memory_order_relaxed);
   lock.unlock();
   Status s = disk_->ReadPage(id, &fr.page);
-  FGPM_CHECK(s.ok());
+  FGPM_CHECK(s.ok());  // id validated above; pages are never deleted
   fr.io_busy.store(false, std::memory_order_release);
   return PageGuard(this, f, id);
 }

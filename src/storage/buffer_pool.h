@@ -17,9 +17,8 @@
 //
 // A miss does not hold the shard latch across the disk read: the frame
 // is installed pinned with io_busy set, the latch drops, and the read
-// completes outside it, so misses overlap with each other and with hits
-// (BufferPoolOptions::latch_across_io restores the old blocking read as
-// an A/B baseline). A 1-shard pool (the default for the plain byte-size
+// completes outside it, so misses overlap with each other and with hits.
+// A 1-shard pool (the default for the plain byte-size
 // constructor, and what every pre-sharding test constructs) behaves
 // exactly like the old single-mutex pool: one latch, one LRU domain,
 // identical hit/miss/eviction sequences. Latch order: shard latch ->
@@ -57,13 +56,6 @@ struct BufferPoolOptions {
   // of two, then halved until every shard owns at least 4 frames (so a
   // tiny pool never degenerates into 1-frame shards).
   size_t num_shards = 1;
-  // When true, a miss holds the shard latch for the whole disk read —
-  // the pre-sharding pool's behavior, where one slow read blocks every
-  // other fetch on the shard. Kept only as the A/B baseline for
-  // bench_concurrency; the default releases the latch before the read
-  // and publishes the frame with an io_busy flag, so misses overlap
-  // with each other and with hits.
-  bool latch_across_io = false;
 };
 
 class BufferPool;
@@ -173,7 +165,6 @@ class BufferPool {
   size_t num_frames_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
-  bool latch_across_io_ = false;
   // Process-wide registry counters (summed over every pool instance);
   // resolved once at construction, incremented alongside the per-shard
   // atomics. Increment is a no-op when obs is compiled out or disabled.

@@ -124,12 +124,6 @@ TEST(ConcurrencyHammer, PinnedFramesSurviveEightThreads) {
   RunPinnedHammer(BufferPoolOptions{128 * kPageSize, 4}, 4, 4000);
 }
 
-TEST(ConcurrencyHammer, PinnedFramesSurviveLegacyLatchedIo) {
-  // Same storm against the pre-sharding miss path (latch held across
-  // the disk read), which bench_concurrency uses as its A/B baseline.
-  RunPinnedHammer(BufferPoolOptions{128 * kPageSize, 4, true}, 4, 1500);
-}
-
 TEST(ConcurrencyHammer, StatsTotalsExactUnderConcurrentReaders) {
   constexpr size_t kPages = 64;
   constexpr int kThreads = 8;

@@ -13,12 +13,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/scheduler.h"
 #include "core/graph_matcher.h"
 #include "graph/generators.h"
 #include "net/client.h"
@@ -508,22 +511,79 @@ TEST(ServerTest, MalformedInputsGetFramedErrorsNotAsserts) {
   }
 }
 
+// Parks a 1-shard server's worker thread until Release(). An idle
+// server worker helps run queued scheduler morsels from its epoll loop.
+// The hold queues one blocking morsel per thread that can run one —
+// every internal scheduler thread, the two helper threads that open the
+// regions, and the server worker — so all of them have started only
+// once the worker is parked in one. Both regions stay within the width
+// the scheduler already ensured, so no internal thread is spawned. While
+// parked, the worker reads no socket and releases no request.
+class ServerWorkerHold {
+ public:
+  ServerWorkerHold() {
+    Scheduler& sched = Scheduler::Global();
+    sched.EnsureWidth(2);
+    const unsigned internal = sched.internal_workers();
+    released_ = release_.get_future().share();
+    Open(internal + 1);  // every internal thread plus this helper
+    Open(2);             // this helper plus the server worker
+    const unsigned total = internal + 3;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started_.load(std::memory_order_relaxed) < total &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    held_ = started_.load(std::memory_order_relaxed) == total;
+  }
+  ~ServerWorkerHold() { Release(); }
+  ServerWorkerHold(const ServerWorkerHold&) = delete;
+  ServerWorkerHold& operator=(const ServerWorkerHold&) = delete;
+
+  bool held() const { return held_; }
+  void Release() {
+    if (regions_.empty()) return;
+    release_.set_value();
+    for (std::thread& t : regions_) t.join();
+    regions_.clear();
+  }
+
+ private:
+  // Opens a region of `width` one-chunk morsels on a helper thread.
+  void Open(unsigned width) {
+    regions_.emplace_back([this, width] {
+      Scheduler::Global().ParallelFor(
+          width, 1,
+          [this](unsigned, size_t, size_t, size_t) {
+            started_.fetch_add(1, std::memory_order_relaxed);
+            released_.wait();
+          },
+          width);
+    });
+  }
+
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  std::atomic<unsigned> started_{0};
+  bool held_ = false;
+  std::vector<std::thread> regions_;
+};
+
 TEST(ServerTest, DeficitRoundRobinPreventsStarvation) {
   ServerOptions opts;
   opts.num_shards = 1;
   opts.dispatch_window = 1;  // sharpest fairness: one release at a time
   ServerFixture f(opts, /*num_labels=*/4, /*seed=*/7);
-  // Make each query cost real time so the greedy queue stays deep.
-  f.server->matcher()
-      ->shard(0)
-      ->db()
-      .buffer_pool()
-      ->disk()
-      ->set_simulated_read_latency_us(150);
 
   auto greedy = f.Connect();
   auto polite = f.Connect();
   constexpr int kGreedy = 150, kPolite = 10;
+  // Hold dispatch until both queues are loaded: otherwise how much of
+  // the greedy burst runs before the polite batch even arrives depends
+  // on thread timing, not on the scheduler under test.
+  ServerWorkerHold hold;
+  ASSERT_TRUE(hold.held()) << "server worker never picked up a morsel";
   // The greedy client pipelines its whole burst first...
   for (int i = 0; i < kGreedy; ++i) {
     QueryRequest req;
@@ -540,6 +600,7 @@ TEST(ServerTest, DeficitRoundRobinPreventsStarvation) {
     req.pattern = "L0->L1";
     ASSERT_TRUE(polite->Send(req).ok());
   }
+  hold.Release();
 
   std::atomic<int> greedy_done{0};
   std::thread greedy_rx([&] {

@@ -447,7 +447,7 @@ TEST(TraceTest, BeginEndSpanMeasuresTime) {
   uint32_t id = trace.BeginSpan("work", "operator");
   // Spin a touch so wall time is strictly positive on coarse clocks.
   volatile uint64_t x = 0;
-  for (int i = 0; i < 100000; ++i) x += static_cast<uint64_t>(i);
+  for (int i = 0; i < 100000; ++i) x = x + static_cast<uint64_t>(i);
   trace.EndSpan(id);
   ASSERT_EQ(trace.spans().size(), 1u);
   const TraceSpan& s = trace.spans()[0];

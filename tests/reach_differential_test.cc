@@ -154,7 +154,9 @@ TEST(ReachMemoTest, AcquireClearAndOverflow) {
   }
   for (uint32_t k = 0; k < 1000; ++k) {
     uint32_t s = memo.Acquire(ReachMemo::PackKey(k, k), &hit);
-    if (hit) EXPECT_EQ(memo.value(s), k);
+    if (hit) {
+      EXPECT_EQ(memo.value(s), k);
+    }
   }
 }
 
