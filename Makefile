@@ -4,9 +4,6 @@
 #   make test         - regular build + full ctest suite
 #   make bench-obs    - build + run the observability overhead A/B
 #                       (writes BENCH_obs.json)
-#   make bench-server - build + run the open-loop query-server bench
-#                       over real sockets at 1/2/4/8 shards
-#                       (writes BENCH_server.json)
 #   make bench-selftest - build + run every BENCHMARK.json workload at
 #                       tiny sizes (python3 perfbench/run.py --selftest);
 #                       perfbench/ compiles ../src with its own
@@ -21,11 +18,12 @@
 #   make verify-asan  - AddressSanitizer pass over the same labels
 #
 # verify-tsan / verify-asan are the one-command sanitizer gates for the
-# `concurrency`, `reach`, `exec`, `obs` and `obs2` ctest labels (buffer-pool /
-# code-cache hammer tests, code-layout round-trips, the multi-threaded
-# probe differentials, the eager-vs-factorized materialization
-# differentials and the metrics/trace suites with their 8-thread
-# exact-total checks): each maintains a separate instrumented tree
+# `concurrency`, `reach`, `exec`, `obs`, `obs2`, `wcoj`, `mqo`, `net` and
+# `sched` ctest labels (buffer-pool / code-cache hammer tests,
+# code-layout round-trips, the multi-threaded probe differentials, the
+# eager-vs-factorized materialization differentials and the
+# metrics/trace suites with their 8-thread exact-total checks): each
+# maintains a separate instrumented tree
 # (./build-tsan, ./build-asan) so the regular build is never polluted
 # with -fsanitize flags.
 
@@ -34,7 +32,7 @@ TSAN_BUILD_DIR ?= build-tsan
 ASAN_BUILD_DIR ?= build-asan
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test bench-obs bench-server bench-selftest verify-tsan verify-asan
+.PHONY: build test bench-obs bench-selftest verify-tsan verify-asan
 
 build:
 	cmake -B $(BUILD_DIR) -S .
@@ -46,10 +44,6 @@ test: build
 bench-obs: build
 	cd $(BUILD_DIR)/bench && ./bench_obs_overhead
 	cp $(BUILD_DIR)/bench/BENCH_obs.json BENCH_obs.json
-
-bench-server: build
-	cd $(BUILD_DIR)/bench && ./bench_server
-	cp $(BUILD_DIR)/bench/BENCH_server.json BENCH_server.json
 
 bench-selftest:
 	python3 perfbench/run.py --selftest

@@ -1,12 +1,12 @@
 // Process-wide work-stealing morsel scheduler.
 //
 // One Scheduler serves every parallel region in the process: executor
-// ParallelFor fan-outs, 2-hop builds, result-cache replays and the
-// query server's intra-query work all share a single set of workers
-// instead of one fork-join pool per executor. Work is decomposed into
-// *morsels* — contiguous runs of the caller's deterministic chunks —
-// held in per-worker bounded Chase-Lev deques (LIFO owner pop for
-// cache locality, FIFO steal for load balancing).
+// ParallelFor fan-outs, 2-hop builds and the query server's intra-query
+// work all share a single set of workers instead of one fork-join pool
+// per executor. Work is decomposed into *morsels* — contiguous runs of
+// the caller's deterministic chunks — held in per-worker bounded
+// Chase-Lev deques (LIFO owner pop for cache locality, FIFO steal for
+// load balancing).
 //
 // Three properties distinguish it from a chunked fork-join pool:
 //

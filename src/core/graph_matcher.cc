@@ -26,7 +26,6 @@ struct MatcherMetrics {
   obs::Counter* plan_cache_evictions;
   obs::Counter* cache_invalidations;
   obs::Counter* result_cache_hits;
-  obs::Counter* result_cache_containment_hits;
   obs::Counter* result_cache_misses;
   obs::Counter* result_cache_evictions;
   obs::Counter* result_cache_inserts;
@@ -55,9 +54,6 @@ struct MatcherMetrics {
           "Plan + result cache invalidations (epoch moves and explicit)");
       e.result_cache_hits = r.GetCounter("fgpm_result_cache_hits_total",
                                          "Result cache exact hits");
-      e.result_cache_containment_hits =
-          r.GetCounter("fgpm_result_cache_containment_hits_total",
-                       "Result cache containment-replay hits");
       e.result_cache_misses = r.GetCounter("fgpm_result_cache_misses_total",
                                            "Result cache misses");
       e.result_cache_evictions = r.GetCounter(
@@ -262,8 +258,6 @@ void GraphMatcher::SyncResultCacheMetrics() {
   };
   m.result_cache_hits->Increment(
       delta(result_cache_->hits_exact(), &synced_.hits_exact));
-  m.result_cache_containment_hits->Increment(
-      delta(result_cache_->hits_containment(), &synced_.hits_containment));
   m.result_cache_misses->Increment(
       delta(result_cache_->misses(), &synced_.misses));
   m.result_cache_evictions->Increment(
@@ -273,57 +267,24 @@ void GraphMatcher::SyncResultCacheMetrics() {
   m.result_cache_bytes->Set(static_cast<double>(result_cache_->bytes()));
 }
 
-Result<bool> GraphMatcher::TryResultCache(
-    const CanonicalForm& canon, double fresh_cost,
-    std::vector<std::vector<NodeId>>* rows, OperatorStats* op_stats,
-    uint8_t* cache_hit) {
+bool GraphMatcher::TryResultCache(const CanonicalForm& canon,
+                                  std::vector<std::vector<NodeId>>* rows) {
   ResultCache* cache = result_cache_.get();
   if (cache == nullptr) return false;
-  if (const ResultCache::Entry* e = cache->LookupExact(canon.key)) {
-    rows->reserve(e->num_rows);
-    for (size_t r = 0; r < e->num_rows; ++r) {
-      rows->emplace_back(e->rows.begin() + r * e->arity,
-                         e->rows.begin() + (r + 1) * e->arity);
-    }
-    *cache_hit = 1;
-    obs::RecordFlight(obs::FlightEvent::kCacheHit, e->num_rows);
+  const ResultCache::Entry* e = cache->LookupExact(canon.key);
+  if (e == nullptr) {
+    obs::RecordFlight(obs::FlightEvent::kCacheMiss);
     SyncResultCacheMetrics();
-    return true;
+    return false;
   }
-  const ResultCachePolicy policy = executor_.options().result_cache_policy;
-  if (policy != ResultCachePolicy::kNever) {
-    if (auto hit = cache->FindContaining(canon.pattern)) {
-      std::vector<LabelId> node_labels;
-      const bool resolvable =
-          ResolveNodeLabels(*db_, canon.pattern, &node_labels);
-      CostModel model(&db_->catalog());
-      const double replay_cost = model.ReplayCost(
-          static_cast<double>(hit->entry->num_rows),
-          static_cast<int>(canon.pattern.num_nodes()),
-          static_cast<int>(hit->mapping.residual.size()));
-      // An unresolvable label means the fresh result is empty by
-      // definition; replaying cached rows for it would be wrong only if
-      // the entry had rows — impossible (same label set) — but skip the
-      // probes anyway and let the fresh path answer.
-      if (resolvable && (policy == ResultCachePolicy::kAlways ||
-                         replay_cost < fresh_cost)) {
-        FGPM_RETURN_IF_ERROR(ReplayContainment(
-            *db_, canon.pattern, node_labels, *hit->entry, hit->mapping,
-            executor_.pool(), &replay_memos_, rows, op_stats));
-        *cache_hit = 2;
-        cache->RecordContainmentHit();
-        // Promote: the replayed rows ARE this pattern's full result, so
-        // the next repeat of any of its spellings exact-hits.
-        cache->Insert(canon.key, canon.pattern, *rows);
-        SyncResultCacheMetrics();
-        return true;
-      }
-    }
+  rows->reserve(e->num_rows);
+  for (size_t r = 0; r < e->num_rows; ++r) {
+    rows->emplace_back(e->rows.begin() + r * e->arity,
+                       e->rows.begin() + (r + 1) * e->arity);
   }
-  cache->RecordMiss();
-  obs::RecordFlight(obs::FlightEvent::kCacheMiss);
+  obs::RecordFlight(obs::FlightEvent::kCacheHit, e->num_rows);
   SyncResultCacheMetrics();
-  return false;
+  return true;
 }
 
 void GraphMatcher::RecordQuery(const Pattern& pattern, Engine engine,
@@ -382,14 +343,9 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
           const fgpm::Plan* plan,
           ResolvePlan(*effective, canon, options, &storage, &optimize_ms));
       if (use_cache) {
-        MatchResult result;
         std::vector<std::vector<NodeId>> canon_rows;
-        uint8_t cache_hit = 0;
-        FGPM_ASSIGN_OR_RETURN(
-            bool served,
-            TryResultCache(canon, plan->estimated_cost, &canon_rows,
-                           &result.stats.operators, &cache_hit));
-        if (served) {
+        if (TryResultCache(canon, &canon_rows)) {
+          MatchResult result;
           // Cached rows are in canonical node order; permute into this
           // spelling's numbering (node i lives in canonical column
           // node_map[i]).
@@ -408,7 +364,7 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
               result.rows.push_back(std::move(row));
             }
           }
-          result.stats.cache_hit = cache_hit;
+          result.stats.cache_hit = 1;
           result.stats.result_rows = result.rows.size();
           result.stats.optimize_ms = optimize_ms;
           result.stats.elapsed_ms = total.ElapsedMillis();
@@ -422,7 +378,7 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
       result.stats.optimize_ms = optimize_ms;
       result.stats.elapsed_ms += optimize_ms;
       if (use_cache && IsCanonicalNumbering(canon)) {
-        result_cache_->Insert(canon.key, canon.pattern, result.rows);
+        result_cache_->Insert(canon.key, effective->num_nodes(), result.rows);
         SyncResultCacheMetrics();
       } else if (use_cache) {
         std::vector<std::vector<NodeId>> canon_rows;
@@ -434,7 +390,7 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
           }
           canon_rows.push_back(std::move(crow));
         }
-        result_cache_->Insert(canon.key, canon.pattern, canon_rows);
+        result_cache_->Insert(canon.key, effective->num_nodes(), canon_rows);
         SyncResultCacheMetrics();
       }
       return finish(std::move(result));
@@ -625,7 +581,7 @@ Result<std::vector<MatchResult>> GraphMatcher::MatchBatch(
   // then that caller's projection. Repeats beyond the representative
   // read the shared rows like an exact cache hit.
   std::vector<MatchResult> results(patterns.size());
-  uint64_t cache_exact = 0, cache_replay = 0;
+  uint64_t cache_exact = 0;
   for (size_t i = 0; i < patterns.size(); ++i) {
     const Member& m = members[i];
     const MatchResult& u = unique_results[m.unique];
@@ -645,7 +601,6 @@ Result<std::vector<MatchResult>> GraphMatcher::MatchBatch(
       res.rows.push_back(std::move(row));
     }
     if (res.stats.cache_hit == 1) ++cache_exact;
-    if (res.stats.cache_hit == 2) ++cache_replay;
     FGPM_ASSIGN_OR_RETURN(results[i],
                           Project(std::move(res), *m.effective, options));
   }
@@ -654,7 +609,6 @@ Result<std::vector<MatchResult>> GraphMatcher::MatchBatch(
     batch_stats->queries = patterns.size();
     batch_stats->unique_queries = representatives.size();
     batch_stats->cache_exact = cache_exact;
-    batch_stats->cache_replay = cache_replay;
   }
   if (obs::Enabled()) {
     const MatcherMetrics& m = MatcherMetrics::Get();

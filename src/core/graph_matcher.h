@@ -75,7 +75,6 @@ struct BatchStats {
   uint64_t queries = 0;          // patterns submitted
   uint64_t unique_queries = 0;   // after canonical-form dedup
   uint64_t cache_exact = 0;      // answered by a result-cache exact hit
-  uint64_t cache_replay = 0;     // answered by containment replay
 };
 
 // EXPLAIN ANALYZE: the optimizer's estimates, the actual execution, and
@@ -184,14 +183,10 @@ class GraphMatcher {
   // Drops both caches when GraphDatabase::epoch() has moved since the
   // last query (ApplyEdgeInsert changed reachability + statistics).
   void CheckEpoch();
-  // Answers `canon` from the result cache if possible: exact hit, or a
-  // containment replay when the policy (and cost model, for kCostBased
-  // against `fresh_cost`) favors it. On success fills rows in CANONICAL
-  // node order and sets *cache_hit to 1 (exact) or 2 (replay).
-  Result<bool> TryResultCache(const CanonicalForm& canon,
-                              double fresh_cost,
-                              std::vector<std::vector<NodeId>>* rows,
-                              OperatorStats* op_stats, uint8_t* cache_hit);
+  // Answers `canon` from the result cache on an exact key hit: fills
+  // rows in CANONICAL node order and returns true.
+  bool TryResultCache(const CanonicalForm& canon,
+                      std::vector<std::vector<NodeId>>* rows);
   // Pushes result-cache counter deltas + the bytes gauge into the
   // metrics registry (no-op when obs is disabled).
   void SyncResultCacheMetrics();
@@ -214,7 +209,7 @@ class GraphMatcher {
   uint64_t plan_cache_hits_ = 0;
   uint64_t plan_cache_misses_ = 0;
   uint64_t cache_invalidations_ = 0;
-  // Semantic result cache (null until the first query with
+  // Result cache (null until the first query with
   // use_result_cache on). seen_epoch_ tracks GraphDatabase::epoch() so
   // both caches self-invalidate after ApplyEdgeInsert.
   std::unique_ptr<ResultCache> result_cache_;
@@ -222,13 +217,9 @@ class GraphMatcher {
   // Last counter values already pushed into the metrics registry
   // (counters are monotonic; the registry gets deltas).
   struct SyncedCacheCounters {
-    uint64_t hits_exact = 0, hits_containment = 0, misses = 0;
+    uint64_t hits_exact = 0, misses = 0;
     uint64_t evictions = 0, inserts = 0;
   } synced_;
-  // Reused across containment replays: configuring them allocates memo
-  // tables, so per-replay construction would dominate (see
-  // ReplayContainment docs).
-  std::vector<ReachMemo> replay_memos_;
   // Ring of the most recent slow queries (kSlowLogCapacity newest kept).
   std::deque<SlowQuery> slow_queries_;
 
@@ -253,7 +244,7 @@ class GraphMatcher {
   // ApplyEdgeInsert can force the same path.
   void InvalidatePlanCache();
   void ClearResultCache();
-  // The semantic result cache; null until the first query ran with
+  // The result cache; null until the first query ran with
   // ExecOptions::use_result_cache set.
   const ResultCache* result_cache() const { return result_cache_.get(); }
   uint64_t plan_cache_evictions() const { return plan_cache_.evictions(); }

@@ -22,8 +22,7 @@ struct ExecStats {
   double optimize_ms = 0;  // plan-selection time (set by GraphMatcher)
   uint64_t result_rows = 0;
   // How the result was produced: 0 = fresh execution, 1 = result-cache
-  // exact hit (rows copied), 2 = containment replay (cached rows of a
-  // more general pattern filtered down). Set by GraphMatcher.
+  // exact hit (rows copied). Set by GraphMatcher.
   uint8_t cache_hit = 0;
   IoSnapshot io;           // delta over the execution
   OperatorStats operators;
@@ -59,13 +58,6 @@ struct MatchResult {
   void SortRows();
 };
 
-// When a cached result of a more general pattern can answer a query,
-// should the matcher filter the cached rows down instead of executing?
-// kCostBased compares CostModel::ReplayCost against the fresh plan's
-// estimated cost; kAlways/kNever force the decision (tests, benches).
-// Exact-key hits are always served from the cache regardless.
-enum class ResultCachePolicy : uint8_t { kCostBased, kAlways, kNever };
-
 // Intra-operator parallelism + materialization knobs. Result rows are
 // identical for every thread count and both materialization modes (see
 // operators.h / temporal_table.h); elapsed time and memo-affected
@@ -80,9 +72,8 @@ struct ExecOptions {
   Materialization materialization = Materialization::kFactorized;
   // GraphMatcher plan-cache bound (entries). 0 disables caching.
   size_t plan_cache_capacity = 256;
-  // Semantic result cache (GraphMatcher): answer a repeated query by
-  // copying its cached rows, and a query *contained* in a cached more
-  // general pattern by filtering the cached rows down (replay) instead
+  // Result cache (GraphMatcher): answer a repeated query (any spelling
+  // of the same canonical pattern) by copying its cached rows instead
   // of re-executing from base tables. Off by default — opt in for
   // serving-style workloads; A/B benches that re-run one pattern would
   // otherwise measure the cache, not the engine. Invalidated
@@ -91,7 +82,6 @@ struct ExecOptions {
   // Memory budget of the result cache in MiB (LRU once over budget;
   // single results larger than the whole budget are never cached).
   size_t result_cache_mb = 64;
-  ResultCachePolicy result_cache_policy = ResultCachePolicy::kCostBased;
   // Observability. trace_level 0 keeps only the always-on aggregates
   // (ExecStats counters + registry metrics — the <3% overhead budget);
   // trace_level >= 1 records a QueryTrace span per plan step carrying
@@ -132,10 +122,6 @@ class Executor {
 
   unsigned num_threads() const { return pool_ ? pool_->size() : 1; }
   const ExecOptions& options() const { return options_; }
-  // The executor's pool (null when single-threaded). Result-cache
-  // replay fans its own work out over it between queries; regular
-  // Execute owns it during a query.
-  ThreadPool* pool() { return pool_.get(); }
   // Retargets the planner between queries (plans themselves execute
   // under whatever strategy built them). GraphMatcher's plan-cache key
   // includes the strategy, so toggling never replays a stale plan.

@@ -51,8 +51,8 @@ void PublishSchedulerMetrics(MetricsRegistry* reg) {
       ->Set(static_cast<double>(s.workers.size()));
 
   // Mean busy fraction across workers since scheduler start. Per-worker
-  // fractions are exported through Stats (bench_server reads them
-  // directly); the registry carries the aggregate.
+  // fractions are exported through Stats (perfbench's serve_zipf reads
+  // them directly); the registry carries the aggregate.
   double busy = 0;
   for (const Scheduler::WorkerStats& w : s.workers) {
     busy += static_cast<double>(w.busy_ns);

@@ -96,12 +96,4 @@ double CostModel::MaterializeCost(double rows, int width) const {
   return rows * ids * params_.cpu_per_id_copy;
 }
 
-double CostModel::ReplayCost(double rows, int arity, int residual_edges) const {
-  // Per row: copy the full-width tuple out of the cached block, plus a
-  // memo-discounted select-equivalent probe (two code fetches + one
-  // intersection) per residual edge.
-  return rows * arity * params_.cpu_per_id_copy +
-         residual_edges * params_.replay_memo_miss * SelectCost(rows);
-}
-
 }  // namespace fgpm

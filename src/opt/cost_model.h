@@ -41,11 +41,6 @@ struct CostParams {
   // code probe + cluster expansion).
   double cpu_per_intersect_probe = 0.0002;
   double wcoj_memo_miss = 0.25;
-  // Result-cache replay: expected fraction of per-row residual-edge
-  // probes that miss the replay's reachability memo (repeated node
-  // pairs collapse into one code intersection, exactly like the select
-  // operator's memo).
-  double replay_memo_miss = 0.25;
 };
 
 class CostModel {
@@ -88,12 +83,6 @@ class CostModel {
   // temporal storage. Factorized tables write at most 2 ids per row
   // (the delta pair) however wide the logical row is.
   double MaterializeCost(double rows, int width) const;
-  // Cost of answering a query by filtering `rows` cached result rows of
-  // `arity` columns down through `residual_edges` per-row reachability
-  // probes (result-cache containment replay; memo-discounted like
-  // selects). Compared against a fresh plan's estimated_cost to decide
-  // replay vs recompute.
-  double ReplayCost(double rows, int arity, int residual_edges) const;
 
  private:
   const Catalog* catalog_;

@@ -5,27 +5,6 @@
 
 namespace fgpm {
 
-namespace {
-
-// Boolean transitive closure of `edges` over n nodes (n is pattern-
-// sized — a handful — so Floyd-Warshall is fine).
-std::vector<std::vector<bool>> Closure(size_t n,
-                                       const std::vector<PatternEdge>& edges) {
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  for (const PatternEdge& e : edges) reach[e.from][e.to] = true;
-  for (size_t k = 0; k < n; ++k) {
-    for (size_t u = 0; u < n; ++u) {
-      if (!reach[u][k]) continue;
-      for (size_t v = 0; v < n; ++v) {
-        if (reach[k][v]) reach[u][v] = true;
-      }
-    }
-  }
-  return reach;
-}
-
-}  // namespace
-
 std::vector<PatternNodeId> CanonicalForm::InverseNodeMap() const {
   std::vector<PatternNodeId> inv(node_map.size());
   for (PatternNodeId i = 0; i < node_map.size(); ++i) inv[node_map[i]] = i;
@@ -81,47 +60,6 @@ CanonicalForm Canonicalize(const Pattern& p) {
 
   out.key = out.pattern.ToString();
   return out;
-}
-
-std::optional<ContainmentMapping> Contains(const Pattern& general,
-                                           const Pattern& specific) {
-  // Equal label sets only (see header: projections are not sound).
-  if (general.num_nodes() != specific.num_nodes()) return std::nullopt;
-  ContainmentMapping m;
-  m.general_to_specific.assign(general.num_nodes(), 0);
-  for (PatternNodeId g = 0; g < general.num_nodes(); ++g) {
-    bool found = false;
-    for (PatternNodeId s = 0; s < specific.num_nodes(); ++s) {
-      if (general.label(g) == specific.label(s)) {
-        m.general_to_specific[g] = s;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return std::nullopt;
-  }
-
-  // Completeness: every general edge, mapped into specific coordinates,
-  // must be implied by the closure of specific's edges — otherwise a
-  // specific-result tuple could be missing from the cached rows.
-  const size_t n = specific.num_nodes();
-  std::vector<std::vector<bool>> spec_closure = Closure(n, specific.edges());
-  std::vector<PatternEdge> mapped_general;
-  mapped_general.reserve(general.num_edges());
-  for (const PatternEdge& e : general.edges()) {
-    PatternEdge g{m.general_to_specific[e.from], m.general_to_specific[e.to]};
-    if (!spec_closure[g.from][g.to]) return std::nullopt;
-    mapped_general.push_back(g);
-  }
-
-  // Soundness: re-check every specific edge the cached rows do not
-  // already guarantee. Reachability is transitive, so anything in the
-  // closure of the mapped general edges holds on every cached row.
-  std::vector<std::vector<bool>> gen_closure = Closure(n, mapped_general);
-  for (const PatternEdge& e : specific.edges()) {
-    if (!gen_closure[e.from][e.to]) m.residual.push_back(e);
-  }
-  return m;
 }
 
 }  // namespace fgpm

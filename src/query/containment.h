@@ -1,5 +1,5 @@
-// Pattern canonicalization and containment (the semantic-cache front
-// end; ground: PAPERS.md "Revisited Containment for Graph Patterns").
+// Pattern canonicalization: the key of the plan cache, the result cache
+// and MatchBatch's dedup.
 //
 // Canonical form: pattern nodes are *labels* (unique within a pattern),
 // so a pattern's identity is fully determined by its label set and its
@@ -8,32 +8,9 @@
 // equivalent spellings. CanonicalForm renumbers nodes in sorted-label
 // order and sorts the edge list, producing a key string under which
 // every spelling of the same pattern collides.
-//
-// Containment: Contains(general, specific) decides whether the result
-// of `specific` can be computed from the result of `general` by a pure
-// filter-down (no re-join against base tables):
-//
-//   * both patterns must bind the same label set (a projection of a
-//     cached result is NOT sound under reachability semantics — an edge
-//     toward a dropped label still constrains the kept columns);
-//   * every edge of `general`, mapped through the label-identity
-//     homomorphism h, must be implied by the transitive closure of
-//     `specific`'s edges (reachability is transitive, so X->Y and Y->Z
-//     imply X ~> Z on every satisfying tuple). Then every tuple of
-//     result(specific) appears in result(general) — completeness;
-//   * the edges of `specific` NOT implied by the closure of the mapped
-//     `general` edges are returned as `residual`: re-checking exactly
-//     those per cached row makes the filter-down sound.
-//
-// The check is conservative by construction: any pattern pair it cannot
-// prove containable (different label sets) yields nullopt and the
-// caller falls back to full execution. It never returns a wrong
-// mapping — the homomorphism is forced by label identity and verified
-// edge by edge.
 #ifndef FGPM_QUERY_CONTAINMENT_H_
 #define FGPM_QUERY_CONTAINMENT_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,7 +22,7 @@ struct CanonicalForm {
   // "A->B;A->C" over the canonical numbering; single-label patterns
   // canonicalize to the bare label. Equal keys <=> equivalent edge sets
   // (NOT closure-equivalence; "A->B;B->C;A->C" and "A->B;B->C" keep
-  // distinct keys and meet through containment instead).
+  // distinct keys).
   std::string key;
   // The pattern renumbered: node i carries the i-th label in sorted
   // order, edges sorted by (from, to).
@@ -62,21 +39,6 @@ struct CanonicalForm {
 };
 
 CanonicalForm Canonicalize(const Pattern& p);
-
-// The witness of a successful containment check.
-struct ContainmentMapping {
-  // general_to_specific[general node id] = specific node id (the label-
-  // identity homomorphism; bijective because label sets are equal).
-  std::vector<PatternNodeId> general_to_specific;
-  // Edges of `specific` (specific-pattern coordinates) that are NOT
-  // implied by the cached pattern and must be re-checked per row.
-  std::vector<PatternEdge> residual;
-};
-
-// See the header comment. Reflexive: Contains(p, p) yields the identity
-// mapping with no residual.
-std::optional<ContainmentMapping> Contains(const Pattern& general,
-                                           const Pattern& specific);
 
 }  // namespace fgpm
 

@@ -1,10 +1,8 @@
 #include "storage/disk_manager.h"
 
-#include <chrono>
 #include <istream>
 #include <mutex>
 #include <ostream>
-#include <thread>
 
 #include "common/serialize.h"
 
@@ -79,18 +77,12 @@ PageId DiskManager::AllocatePage() {
 }
 
 Status DiskManager::ReadPage(PageId id, Page* out) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (id >= pages_.size()) {
-      return Status::OutOfRange("ReadPage: page id out of range");
-    }
-    *out = *pages_[id];
-    page_reads_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (id >= pages_.size()) {
+    return Status::OutOfRange("ReadPage: page id out of range");
   }
-  uint32_t latency = simulated_read_latency_us_.load(std::memory_order_relaxed);
-  if (latency > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(latency));
-  }
+  *out = *pages_[id];
+  page_reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -70,22 +70,6 @@ class DiskManager {
   // the stored page (bypasses the write path and its accounting).
   Status CorruptPageForTesting(PageId id, size_t offset);
 
-  // Simulated device latency per ReadPage, in microseconds. The
-  // in-memory store stands in for the paper's disk-resident Shore-style
-  // storage manager; benchmarks set this to model a real device, which
-  // makes miss-path serialization observable (a pool that holds a latch
-  // across the read blocks all of its readers for the full latency).
-  // Zero (the default) keeps reads instantaneous. The sleep happens
-  // after the page lock is released, so the disk itself services
-  // concurrent reads in parallel — any serialization measured above it
-  // belongs to the caller.
-  void set_simulated_read_latency_us(uint32_t us) {
-    simulated_read_latency_us_.store(us, std::memory_order_relaxed);
-  }
-  uint32_t simulated_read_latency_us() const {
-    return simulated_read_latency_us_.load(std::memory_order_relaxed);
-  }
-
  private:
   // Shared: page lookups (the pointer array must not grow mid-read).
   // Exclusive: allocation and (de)serialization.
@@ -95,7 +79,6 @@ class DiskManager {
   std::atomic<uint64_t> page_writes_{0};
   std::atomic<uint64_t> pages_allocated_{0};
   std::atomic<uint64_t> checksum_failures_{0};
-  std::atomic<uint32_t> simulated_read_latency_us_{0};
 };
 
 }  // namespace fgpm

@@ -1,10 +1,7 @@
-// Canonicalization and containment unit tests (query/containment.h):
-// every spelling of a pattern collides on one canonical key, and
-// Contains() is sound — it never fabricates a mapping for a pattern
-// pair that is not actually containable under reachability semantics.
+// Canonicalization unit tests (query/containment.h): every spelling of
+// a pattern collides on one canonical key, and distinct patterns keep
+// distinct keys.
 #include <gtest/gtest.h>
-
-#include <optional>
 
 #include "query/containment.h"
 #include "query/pattern.h"
@@ -39,8 +36,7 @@ TEST(CanonicalizeTest, DistinctPatternsKeepDistinctKeys) {
   EXPECT_NE(Canonicalize(P("A->B")).key, Canonicalize(P("B->A")).key);
   EXPECT_NE(Canonicalize(P("A->B; B->C")).key,
             Canonicalize(P("A->B; A->C")).key);
-  // Closure-equivalent, but NOT edge-set-equal: distinct keys (they
-  // meet through containment, not key equality).
+  // Closure-equivalent, but NOT edge-set-equal: distinct keys.
   EXPECT_NE(Canonicalize(P("A->B; B->C; A->C")).key,
             Canonicalize(P("A->B; B->C")).key);
 }
@@ -85,81 +81,11 @@ TEST(CanonicalizeTest, SingleLabelPattern) {
   EXPECT_EQ(c.key, Canonicalize(p).key);
 }
 
-TEST(ContainmentTest, Reflexive) {
-  const Pattern p = P("A->B; B->C; A->C");
-  auto m = Contains(p, p);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(m->residual.empty());
-  for (PatternNodeId i = 0; i < p.num_nodes(); ++i) {
-    EXPECT_EQ(m->general_to_specific[i], i);
-  }
-}
-
-TEST(ContainmentTest, ClosureEquivalentHasEmptyResidual) {
-  // The chord A->C is implied by the chain: both directions of the
-  // containment check succeed and neither needs a residual re-check.
-  const Pattern chain = P("A->B; B->C");
-  const Pattern chord = P("A->B; B->C; A->C");
-  auto m1 = Contains(chain, chord);
-  ASSERT_TRUE(m1.has_value());
-  EXPECT_TRUE(m1->residual.empty());
-  auto m2 = Contains(chord, chain);
-  ASSERT_TRUE(m2.has_value());
-  EXPECT_TRUE(m2->residual.empty());
-}
-
-TEST(ContainmentTest, ResidualEdgesAreExactlyTheUnimpliedOnes) {
-  // general: A->B, A->C (a star); specific: A->B, B->C (a chain).
-  // Every general edge is implied by the chain's closure (A->C via B),
-  // but B->C is NOT implied by the star — it must be re-checked.
-  const Pattern general = P("A->B; A->C");
-  const Pattern specific = P("A->B; B->C");
-  auto m = Contains(general, specific);
-  ASSERT_TRUE(m.has_value());
-  ASSERT_EQ(m->residual.size(), 1u);
-  EXPECT_EQ(specific.label(m->residual[0].from), "B");
-  EXPECT_EQ(specific.label(m->residual[0].to), "C");
-}
-
-TEST(ContainmentTest, LookalikesAreNotContained) {
-  // Same label sets, structurally close — but a tuple satisfying the
-  // specific side need not satisfy the general side, so Contains must
-  // refuse (returning a mapping here would serve wrong rows).
-  // Chain does not contain the star: B->C is not implied by A->B, A->C.
-  EXPECT_FALSE(Contains(P("A->B; B->C"), P("A->B; A->C")).has_value());
-  // Reversed edge.
-  EXPECT_FALSE(Contains(P("A->B"), P("B->A")).has_value());
-  // Reversed middle of a chain.
-  EXPECT_FALSE(
-      Contains(P("A->B; B->C; C->D"), P("A->B; C->B; C->D")).has_value());
-}
-
-TEST(ContainmentTest, DifferentLabelSetsAreNeverContained) {
-  // Projection is not sound under reachability semantics, so label-set
-  // mismatches are refused in both directions even when one edge set
-  // embeds into the other.
-  EXPECT_FALSE(Contains(P("A->B"), P("A->B; B->C")).has_value());
-  EXPECT_FALSE(Contains(P("A->B; B->C"), P("A->B")).has_value());
-  EXPECT_FALSE(Contains(P("A->B"), P("A->C")).has_value());
-}
-
-TEST(ContainmentTest, SingleNodePatterns) {
-  Pattern a1, a2, b;
-  a1.AddNode("A");
-  a2.AddNode("A");
-  b.AddNode("B");
-  auto m = Contains(a1, a2);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(m->residual.empty());
-  EXPECT_FALSE(Contains(a1, b).has_value());
-}
-
 TEST(ContainmentTest, SelfLoopsAndDuplicateEdgesAreUnrepresentable) {
-  // The canonical-form and containment arguments lean on patterns
-  // rejecting self-loops and duplicate edges (a pattern's edge multiset
-  // is a set, and (other-label, direction) identifies an edge
-  // uniquely). Pin the invariant here so a parser change can't silently
-  // invalidate them.
+  // The canonical form leans on patterns rejecting self-loops and
+  // duplicate edges (a pattern's edge multiset is a set, and
+  // (other-label, direction) identifies an edge uniquely). Pin the
+  // invariant here so a parser change can't silently invalidate it.
   Pattern p;
   PatternNodeId a = p.AddNode("A");
   PatternNodeId b = p.AddNode("B");

@@ -7,36 +7,30 @@
 // observability endpoints, and per-request trace spans.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/scheduler.h"
+#include "common/timer.h"
 #include "core/graph_matcher.h"
 #include "graph/generators.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "server_fixture.h"
 #include "workload/patterns.h"
 
 namespace fgpm {
 namespace {
 
-using net::Client;
 using net::FrameDecoder;
 using net::QueryRequest;
 using net::QueryResponse;
-using net::Server;
 using net::ServerOptions;
 
 Pattern P(std::string_view text) {
@@ -331,28 +325,6 @@ TEST(FrameDecoderTest, FuzzTruncatedAndMutatedRealFrames) {
 
 // --- server end-to-end ------------------------------------------------------
 
-struct ServerFixture {
-  Graph g;
-  std::unique_ptr<GraphMatcher> direct;
-  std::unique_ptr<Server> server;
-
-  explicit ServerFixture(ServerOptions opts, uint32_t num_labels = 8,
-                         uint64_t seed = 23)
-      : g(gen::ScaleFree(300, 3, num_labels, seed)) {
-    auto d = GraphMatcher::Create(&g, {}, {});
-    EXPECT_TRUE(d.ok());
-    direct = std::move(*d);
-    auto s = Server::Start(&g, opts);
-    EXPECT_TRUE(s.ok()) << s.status();
-    server = std::move(*s);
-  }
-  std::unique_ptr<Client> Connect() {
-    auto c = Client::Connect("127.0.0.1", server->port());
-    EXPECT_TRUE(c.ok()) << c.status();
-    return std::move(*c);
-  }
-};
-
 TEST(ServerTest, DifferentialAcrossShardsEnginesStrategies) {
   struct Config {
     uint32_t shards;
@@ -511,65 +483,6 @@ TEST(ServerTest, MalformedInputsGetFramedErrorsNotAsserts) {
   }
 }
 
-// Parks a 1-shard server's worker thread until Release(). An idle
-// server worker helps run queued scheduler morsels from its epoll loop.
-// The hold queues one blocking morsel per thread that can run one —
-// every internal scheduler thread, the two helper threads that open the
-// regions, and the server worker — so all of them have started only
-// once the worker is parked in one. Both regions stay within the width
-// the scheduler already ensured, so no internal thread is spawned. While
-// parked, the worker reads no socket and releases no request.
-class ServerWorkerHold {
- public:
-  ServerWorkerHold() {
-    Scheduler& sched = Scheduler::Global();
-    sched.EnsureWidth(2);
-    const unsigned internal = sched.internal_workers();
-    released_ = release_.get_future().share();
-    Open(internal + 1);  // every internal thread plus this helper
-    Open(2);             // this helper plus the server worker
-    const unsigned total = internal + 3;
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (started_.load(std::memory_order_relaxed) < total &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    held_ = started_.load(std::memory_order_relaxed) == total;
-  }
-  ~ServerWorkerHold() { Release(); }
-  ServerWorkerHold(const ServerWorkerHold&) = delete;
-  ServerWorkerHold& operator=(const ServerWorkerHold&) = delete;
-
-  bool held() const { return held_; }
-  void Release() {
-    if (regions_.empty()) return;
-    release_.set_value();
-    for (std::thread& t : regions_) t.join();
-    regions_.clear();
-  }
-
- private:
-  // Opens a region of `width` one-chunk morsels on a helper thread.
-  void Open(unsigned width) {
-    regions_.emplace_back([this, width] {
-      Scheduler::Global().ParallelFor(
-          width, 1,
-          [this](unsigned, size_t, size_t, size_t) {
-            started_.fetch_add(1, std::memory_order_relaxed);
-            released_.wait();
-          },
-          width);
-    });
-  }
-
-  std::promise<void> release_;
-  std::shared_future<void> released_;
-  std::atomic<unsigned> started_{0};
-  bool held_ = false;
-  std::vector<std::thread> regions_;
-};
-
 TEST(ServerTest, DeficitRoundRobinPreventsStarvation) {
   ServerOptions opts;
   opts.num_shards = 1;
@@ -630,15 +543,14 @@ TEST(ServerTest, AdmissionControlShedsLoadAndRecovers) {
   opts.max_queue = 8;
   opts.dispatch_window = 1;
   ServerFixture f(opts, /*num_labels=*/4, /*seed=*/7);
-  f.server->matcher()
-      ->shard(0)
-      ->db()
-      .buffer_pool()
-      ->disk()
-      ->set_simulated_read_latency_us(200);
 
   auto client = f.Connect();
   constexpr int kBurst = 80;
+  // Hold the worker while the burst is sent, so it decodes every frame
+  // in one pass: the admission queue sees all 80 at once, whatever the
+  // thread timing.
+  ServerWorkerHold hold;
+  ASSERT_TRUE(hold.held()) << "server worker never picked up a morsel";
   for (int i = 0; i < kBurst; ++i) {
     QueryRequest req;
     req.id = static_cast<uint64_t>(i);
@@ -646,6 +558,7 @@ TEST(ServerTest, AdmissionControlShedsLoadAndRecovers) {
     req.pattern = "L0->L1";
     ASSERT_TRUE(client->Send(req).ok());
   }
+  hold.Release();
   int ok = 0, shed = 0;
   for (int i = 0; i < kBurst; ++i) {
     QueryResponse resp;
@@ -698,28 +611,34 @@ TEST(ServerTest, ExpiredDeadlinesAreShedAtDispatch) {
   ServerOptions opts;
   opts.num_shards = 1;
   opts.dispatch_window = 1;
-  // Starve the caches so every query pays real (simulated) disk time —
-  // otherwise an optimized build drains the queue before any deadline.
-  opts.matcher.db.code_cache_capacity = 4;
-  opts.matcher.db.buffer_pool_bytes = 32 << 10;
-  ServerFixture f(opts, /*num_labels=*/4, /*seed=*/7);
-  f.server->matcher()
-      ->shard(0)
-      ->db()
-      .buffer_pool()
-      ->disk()
-      ->set_simulated_read_latency_us(500);
+  ServerFixture f(opts, /*num_labels=*/4, /*seed=*/7, /*num_nodes=*/2000);
+  // The head of the queue is a CPU-heavy star (about 61k rows); every
+  // request behind it waits out its whole execution.
+  const char* kHead = "L0->L1; L0->L2; L0->L3";
+  WallTimer direct_timer;
+  ASSERT_TRUE(f.direct->Match(kHead).ok());
+  ASSERT_GT(direct_timer.ElapsedMillis(), 2.0)
+      << "the head request must outlast the 1 ms deadlines behind it";
 
   auto client = f.Connect();
   constexpr int kBurst = 40;
+  // Hold the worker while the burst is sent: every frame is decoded,
+  // and its arrival stamped, in one pass after Release().
+  ServerWorkerHold hold;
+  ASSERT_TRUE(hold.held()) << "server worker never picked up a morsel";
   for (int i = 0; i < kBurst; ++i) {
     QueryRequest req;
     req.id = static_cast<uint64_t>(i);
-    req.deadline_ms = 5;  // far less than the queue will take
     req.flags = net::kFlagChecksumOnly;
-    req.pattern = "L0->L1";
+    if (i == 0) {
+      req.pattern = kHead;  // no deadline
+    } else {
+      req.deadline_ms = 1;
+      req.pattern = "L0->L1";
+    }
     ASSERT_TRUE(client->Send(req).ok());
   }
+  hold.Release();
   int expired = 0, ok = 0;
   for (int i = 0; i < kBurst; ++i) {
     QueryResponse resp;
@@ -730,27 +649,8 @@ TEST(ServerTest, ExpiredDeadlinesAreShedAtDispatch) {
       ++ok;
     }
   }
-  EXPECT_GT(ok, 0) << "the head of the queue should meet its deadline";
-  EXPECT_GT(expired, 0) << "deep-queued requests should expire";
-}
-
-std::string HttpGet(uint16_t port, const std::string& path) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  std::string req = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
-  EXPECT_EQ(write(fd, req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = read(fd, buf, sizeof(buf))) > 0) out.append(buf, n);
-  close(fd);
-  return out;
+  EXPECT_EQ(ok, 1) << "only the head request should run";
+  EXPECT_EQ(expired, kBurst - 1) << "every request behind it should expire";
 }
 
 TEST(ServerTest, HttpMetricsHealthzAndStats) {

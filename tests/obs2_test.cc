@@ -8,11 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,57 +25,19 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "server_fixture.h"
 
 namespace fgpm {
 namespace {
 
-using net::Client;
 using net::QueryRequest;
 using net::QueryResponse;
-using net::Server;
 using net::ServerOptions;
 
 #define SKIP_IF_COMPILED_OUT()                                  \
   if (!FGPM_OBS_ENABLED) {                                      \
     GTEST_SKIP() << "observability compiled out (FGPM_OBS=OFF)"; \
   }
-
-struct ServerFixture {
-  Graph g;
-  std::unique_ptr<Server> server;
-
-  explicit ServerFixture(ServerOptions opts, uint32_t num_labels = 8,
-                         uint64_t seed = 23)
-      : g(gen::ScaleFree(300, 3, num_labels, seed)) {
-    auto s = Server::Start(&g, opts);
-    EXPECT_TRUE(s.ok()) << s.status();
-    server = std::move(*s);
-  }
-  std::unique_ptr<Client> Connect() {
-    auto c = Client::Connect("127.0.0.1", server->port());
-    EXPECT_TRUE(c.ok()) << c.status();
-    return std::move(*c);
-  }
-};
-
-std::string HttpGet(uint16_t port, const std::string& path) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  std::string req = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
-  EXPECT_EQ(write(fd, req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = read(fd, buf, sizeof(buf))) > 0) out.append(buf, n);
-  close(fd);
-  return out;
-}
 
 uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Default().GetCounter(name)->Value();
@@ -278,29 +235,21 @@ TEST(Obs2Test, SloBreachFreezesFlightRecorderDump) {
   ServerOptions opts;
   opts.num_shards = 1;
   opts.slo_p99_ms = 1;
-  // Starve the caches and add simulated disk latency so every query
-  // blows well past the 1ms SLO.
-  opts.matcher.db.code_cache_capacity = 4;
-  opts.matcher.db.buffer_pool_bytes = 32 << 10;
-  ServerFixture f(opts, /*num_labels=*/4, /*seed=*/7);
-  f.server->matcher()
-      ->shard(0)
-      ->db()
-      .buffer_pool()
-      ->disk()
-      ->set_simulated_read_latency_us(500);
+  // A CPU-heavy star (about 61k rows) blows well past the 1ms SLO.
+  ServerFixture f(opts, /*num_labels=*/4, /*seed=*/7, /*num_nodes=*/2000);
+  const char* kSlow = "L0->L1; L0->L2; L0->L3";
   auto client = f.Connect();
 
   const uint64_t breach_before = CounterValue("fgpm_slo_breach_total");
   for (int i = 0; i < 10; ++i) {
-    auto resp = client->Query(ChecksumRequest(i, "L0->L1"));
+    auto resp = client->Query(ChecksumRequest(i, kSlow));
     ASSERT_TRUE(resp.ok() && resp->ok());
   }
   // The watchdog recomputes windowed p99 at most every 250ms; one more
   // slow query after the throttle window guarantees a check that sees
   // the slow samples.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  auto resp = client->Query(ChecksumRequest(99, "L0->L1"));
+  auto resp = client->Query(ChecksumRequest(99, kSlow));
   ASSERT_TRUE(resp.ok() && resp->ok());
 
   EXPECT_GE(CounterValue("fgpm_slo_breach_total") - breach_before, 1u);
