@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 
@@ -24,44 +23,15 @@ uint64_t NowNs() {
           .count());
 }
 
-std::mutex g_tuning_mu;
-SchedTuning g_tuning;
-bool g_tuning_init = false;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? static_cast<size_t>(parsed)
-                                          : fallback;
-}
-
-SchedTuning TuningLocked() {
-  if (!g_tuning_init) {
-    g_tuning.morsel_rows =
-        std::max<size_t>(1, EnvSize("FGPM_SCHED_MORSEL_ROWS", 1024));
-    g_tuning.steal_spin =
-        static_cast<int>(EnvSize("FGPM_SCHED_STEAL_SPIN", 16));
-    g_tuning_init = true;
-  }
-  return g_tuning;
-}
+// Morsel split floor in *rows* (not chunks): a morsel stops splitting
+// once its remaining range is <= max(1, kMorselRows / chunk_size)
+// chunks. Smaller = finer balancing, more scheduling traffic.
+constexpr size_t kMorselRows = 1024;
+// Failed steal sweeps a starving participant spins (with yields) before
+// parking on the scheduler's condition variable.
+constexpr int kStealSpin = 16;
 
 }  // namespace
-
-void SetSchedTuning(const SchedTuning& t) {
-  std::lock_guard<std::mutex> lock(g_tuning_mu);
-  g_tuning = t;
-  g_tuning.morsel_rows = std::max<size_t>(1, g_tuning.morsel_rows);
-  g_tuning.steal_spin = std::max(0, g_tuning.steal_spin);
-  g_tuning_init = true;
-}
-
-SchedTuning GetSchedTuning() {
-  std::lock_guard<std::mutex> lock(g_tuning_mu);
-  return TuningLocked();
-}
 
 // One ParallelFor call. Lives on the caller's stack: the caller only
 // returns once every chunk is done AND every participant has released
@@ -247,8 +217,7 @@ void Scheduler::EnsureWidth(unsigned width) {
   // expected to help. Spawn internal workers for the remainder — this
   // is what lets server and executors share one set of threads instead
   // of multiplying them.
-  unsigned need =
-      reserved > 0 ? (width > reserved ? width - reserved : 0) : width - 1;
+  unsigned need = width - 1 > reserved ? width - 1 - reserved : 0;
   need = std::min<unsigned>(need, kMaxWorkers / 2);
   while (internal_count_.load(std::memory_order_relaxed) < need) {
     internal_count_.fetch_add(1, std::memory_order_relaxed);
@@ -392,14 +361,13 @@ void Scheduler::Publish() {
 }
 
 void Scheduler::WaitForWork(const SchedRegion* region) {
-  const int spin = GetSchedTuning().steal_spin;
   const bool prof = g_profiling.load(std::memory_order_relaxed);
   if (prof && tls_worker != nullptr) {
     tls_worker->state.store(static_cast<uint8_t>(WorkerState::kStarving),
                             std::memory_order_relaxed);
   }
   starving_.fetch_add(1, std::memory_order_relaxed);
-  for (int i = 0; i < spin; ++i) {
+  for (int i = 0; i < kStealSpin; ++i) {
     if (HasWork() || shutdown_.load(std::memory_order_relaxed) ||
         (region != nullptr && region->done.load(std::memory_order_acquire))) {
       starving_.fetch_sub(1, std::memory_order_relaxed);
@@ -465,7 +433,7 @@ void Scheduler::ParallelFor(size_t n, size_t chunk_size, const Body& body,
   if (g_profiling.load(std::memory_order_relaxed)) r.label = tls_label;
   r.width = std::min<unsigned>(width, 64);
   r.min_split_chunks =
-      std::max<size_t>(1, GetSchedTuning().morsel_rows / chunk_size);
+      std::max<size_t>(1, kMorselRows / chunk_size);
 
   // Initial decomposition: at most `width` coarse morsels, pushed in
   // reverse so the owner's LIFO pop walks chunks front-to-back while

@@ -24,7 +24,7 @@
 //     idle); whenever some participant is starving — failing to find
 //     work, or armed to be woken for it — running morsels split off
 //     the back half of their remaining chunk range down to a floor of
-//     SchedTuning::morsel_rows rows.
+//     kMorselRows (1024) rows.
 //
 // Determinism: the scheduler never changes the chunk decomposition.
 // Every chunk of [0, n) is executed exactly once and the body receives
@@ -61,21 +61,6 @@
 namespace fgpm {
 
 struct SchedRegion;  // internal (scheduler.cc); one ParallelFor call
-
-// Tuning knobs, process-wide. Defaults come from the environment on
-// first use (FGPM_SCHED_MORSEL_ROWS, FGPM_SCHED_STEAL_SPIN) so deployed
-// binaries can be tuned without a rebuild; SetSchedTuning overrides.
-struct SchedTuning {
-  // Morsel split floor in *rows* (not chunks): a morsel stops splitting
-  // once its remaining range is <= max(1, morsel_rows / chunk_size)
-  // chunks. Smaller = finer balancing, more scheduling traffic.
-  size_t morsel_rows = 1024;
-  // Failed steal sweeps a starving participant spins (with yields)
-  // before parking on the scheduler's condition variable.
-  int steal_spin = 16;
-};
-void SetSchedTuning(const SchedTuning& t);
-SchedTuning GetSchedTuning();
 
 // Bounded single-owner work-stealing deque (Chase-Lev). The owning
 // thread pushes and pops at the bottom (LIFO); any thread steals from

@@ -337,11 +337,7 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
       CanonicalForm canon = Canonicalize(*effective);
       const bool use_cache = executor_.options().use_result_cache;
       if (use_cache) EnsureResultCache();
-      fgpm::Plan storage;
-      double optimize_ms = 0;
-      FGPM_ASSIGN_OR_RETURN(
-          const fgpm::Plan* plan,
-          ResolvePlan(*effective, canon, options, &storage, &optimize_ms));
+      // An exact result-cache hit needs no plan: probe before planning.
       if (use_cache) {
         std::vector<std::vector<NodeId>> canon_rows;
         if (TryResultCache(canon, &canon_rows)) {
@@ -366,11 +362,15 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
           }
           result.stats.cache_hit = 1;
           result.stats.result_rows = result.rows.size();
-          result.stats.optimize_ms = optimize_ms;
           result.stats.elapsed_ms = total.ElapsedMillis();
           return finish(std::move(result));
         }
       }
+      fgpm::Plan storage;
+      double optimize_ms = 0;
+      FGPM_ASSIGN_OR_RETURN(
+          const fgpm::Plan* plan,
+          ResolvePlan(*effective, canon, options, &storage, &optimize_ms));
       FGPM_ASSIGN_OR_RETURN(MatchResult result,
                             executor_.Execute(*effective, *plan));
       // Like the paper, reported elapsed time covers optimization AND

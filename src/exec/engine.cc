@@ -23,8 +23,6 @@ struct EngineMetrics {
   obs::Counter* code_fetches;
   obs::Counter* cluster_fetches;
   obs::Counter* wtable_lookups;
-  obs::Counter* reach_memo_probes;
-  obs::Counter* reach_memo_hits;
   obs::Counter* rows_materialized;
   obs::Counter* wcoj_binds;
   obs::Counter* wcoj_kway_probes;
@@ -47,10 +45,6 @@ struct EngineMetrics {
                                        "R-join index getF/getT reads");
       e.wtable_lookups =
           r.GetCounter("fgpm_exec_wtable_lookups_total", "W-table lookups");
-      e.reach_memo_probes = r.GetCounter("fgpm_exec_reach_memo_probes_total",
-                                         "Reachability memo probes");
-      e.reach_memo_hits = r.GetCounter("fgpm_exec_reach_memo_hits_total",
-                                       "Reachability memo hits");
       e.rows_materialized = r.GetCounter("fgpm_exec_rows_materialized_total",
                                          "Full-width rows materialized");
       e.wcoj_binds = r.GetCounter("fgpm_exec_wcoj_binds_total",
@@ -100,9 +94,6 @@ void AttachSpanArgs(QueryTrace* trace, uint32_t span, uint64_t rows_in,
   delta("code_fetches", before.code_fetches, after.code_fetches);
   delta("cluster_fetches", before.cluster_fetches, after.cluster_fetches);
   delta("wtable_lookups", before.wtable_lookups, after.wtable_lookups);
-  delta("reach_memo_probes", before.reach_memo_probes,
-        after.reach_memo_probes);
-  delta("reach_memo_hits", before.reach_memo_hits, after.reach_memo_hits);
   delta("rows_materialized", before.rows_materialized,
         after.rows_materialized);
   delta("kway_intersect_probes", before.kway_intersect_probes,
@@ -346,7 +337,6 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
       TemporalTable table(options_.materialization);
       const bool factorized =
           options_.materialization == Materialization::kFactorized;
-      scratch_.BeginQuery();
       FGPM_RETURN_IF_ERROR(RunPlanSteps(*db_, pattern, node_labels, plan,
                                         factorized, &table, &result.stats,
                                         trace.get(), query_span, pool_.get(),
@@ -384,8 +374,6 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
     m.code_fetches->Increment(op.code_fetches);
     m.cluster_fetches->Increment(op.cluster_fetches);
     m.wtable_lookups->Increment(op.wtable_lookups);
-    m.reach_memo_probes->Increment(op.reach_memo_probes);
-    m.reach_memo_hits->Increment(op.reach_memo_hits);
     m.rows_materialized->Increment(op.rows_materialized);
     m.wcoj_binds->Increment(wcoj_binds);
     m.wcoj_kway_probes->Increment(op.kway_intersect_probes);

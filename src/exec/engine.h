@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"  // RowSetChecksum over MatchResult::rows
 #include "common/parallel.h"
 #include "common/status.h"
 #include "exec/operators.h"
@@ -60,10 +61,9 @@ struct MatchResult {
 
 // Intra-operator parallelism + materialization knobs. Result rows are
 // identical for every thread count and both materialization modes (see
-// operators.h / temporal_table.h); elapsed time and memo-affected
-// counters (code_fetches, reach_memo_*) may differ because reachability
-// memos are per-worker. num_threads == 1 keeps the sequential code
-// paths.
+// operators.h / temporal_table.h); elapsed time and chunking-affected
+// counters (code_fetches) may differ. num_threads == 1 keeps the
+// sequential code paths.
 struct ExecOptions {
   unsigned num_threads = 1;  // 0 = one worker per hardware thread
   // Intermediate-result representation. kFactorized defers row copies
@@ -110,7 +110,7 @@ class Executor {
     if (ResolveThreads(options.num_threads) > 1) {
       pool_ = std::make_unique<ThreadPool>(options.num_threads);
     }
-    scratch_.Configure(pool_ ? pool_->size() : 1, kReachMemoEntries);
+    scratch_.Configure(pool_ ? pool_->size() : 1);
   }
 
   // Validates and runs `plan` for `pattern`. A pattern label absent from
@@ -131,8 +131,8 @@ class Executor {
   const GraphDatabase* db_;
   ExecOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
-  // Per-worker reachability memos + reused probe buffers, threaded
-  // through the operators of every Execute call (see ExecScratch).
+  // Reused probe buffers, threaded through the operators of every
+  // Execute call (see ExecScratch).
   ExecScratch scratch_;
 };
 

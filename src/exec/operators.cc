@@ -303,18 +303,6 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
     ++stats->wtable_lookups;
   }
 
-  // Per-worker Xi memo: Xi(node, item) = code(node) ∩ W(X, Y) is a pure
-  // function of the probed node and the item, so cached center lists
-  // never change the output — only how often getCenters and the
-  // intersection run. Keys pack the item index into the low 12 bits;
-  // cleared here because item indexes are call-local.
-  const bool use_memo = scratch != nullptr && items.size() < 4096 &&
-                        !scratch->workers.empty() &&
-                        scratch->workers[0].filter_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.filter_memo.Clear();
-  }
-
   const size_t ncols = table->NumColumns();
   const size_t nrows = table->NumRows();
   // Delta-chained tables probe through gathered column buffers (random
@@ -371,15 +359,12 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
   };
   std::vector<ChunkOut> parts(nchunks);
   std::vector<Status> errs(nchunks);
-  RunChunked(pool, nrows, chunk, [&](unsigned wk, size_t c, size_t begin,
+  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
                                      size_t end) {
     ChunkOut& part = parts[c];
     part.carried.resize(first_fresh);
     part.fresh_pool.resize(ctx.size());
     part.fresh_idx.resize(ctx.size());
-    ExecScratch::Worker* ws =
-        use_memo && wk < scratch->workers.size() ? &scratch->workers[wk]
-                                                 : nullptr;
     // One scan; one getCenters per (row, distinct column) shared across
     // items (Remark 3.1).
     std::unordered_map<size_t, GraphCodeRecord> col_codes;
@@ -402,34 +387,23 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
           }
           continue;
         }
-        uint32_t memo_slot = 0;
-        bool memo_hit = false;
-        if (ws != nullptr) {
-          uint64_t key = (static_cast<uint64_t>(node) << 12) | i;
-          memo_slot = ws->filter_memo.Acquire(key, &memo_hit);
-        }
-        if (memo_hit) {
-          xi = ws->xi_pool[memo_slot];  // Xi is a pure fn of (node, i)
-        } else {
-          auto it = col_codes.find(ctx[i].col);
-          if (it == col_codes.end()) {
-            GraphCodeRecord rec;
-            Status s = db.GetCodes(node, ctx[i].col_label, &rec);
-            if (!s.ok()) {
-              errs[c] = std::move(s);
-              return;
-            }
-            ++part.code_fetches;
-            it = col_codes.emplace(ctx[i].col, std::move(rec)).first;
+        auto it = col_codes.find(ctx[i].col);
+        if (it == col_codes.end()) {
+          GraphCodeRecord rec;
+          Status s = db.GetCodes(node, ctx[i].col_label, &rec);
+          if (!s.ok()) {
+            errs[c] = std::move(s);
+            return;
           }
-          const auto& code = ctx[i].use_out ? it->second.out : it->second.in;
-          // Hybrid kernel (galloping / SIMD merge) writing into the
-          // hoisted per-item buffer (capacity reused across rows;
-          // W(X, Y) is often much larger than a node's code, the
-          // galloping regime).
-          SortedIntersectInto(code, wcenters[i], &xi);
-          if (ws != nullptr) ws->xi_pool[memo_slot] = xi;
+          ++part.code_fetches;
+          it = col_codes.emplace(ctx[i].col, std::move(rec)).first;
         }
+        const auto& code = ctx[i].use_out ? it->second.out : it->second.in;
+        // Hybrid kernel (galloping / SIMD merge) writing into the
+        // hoisted per-item buffer (capacity reused across rows;
+        // W(X, Y) is often much larger than a node's code, the
+        // galloping regime).
+        SortedIntersectInto(code, wcenters[i], &xi);
         if (xi.empty()) {
           ok = false;  // sit->second stays -1 (known-empty)
         } else {
@@ -465,12 +439,6 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
     stats->rows_scanned += part.rows_scanned;
     stats->rows_pruned += part.rows_pruned;
     stats->code_fetches += part.code_fetches;
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.filter_memo.probes();
-      stats->reach_memo_hits += w.filter_memo.hits();
-    }
   }
   for (size_t s = 0; s < first_fresh; ++s) {
     new_pending[s].row_index.reserve(kept_rows);
@@ -747,12 +715,6 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
 
   // Phase 2: emit (parent, value) pairs per row, running fused select
   // predicates on each candidate before it is appended.
-  const bool use_memo = !fused.empty() && scratch != nullptr &&
-                        !scratch->workers.empty() &&
-                        scratch->workers[0].select_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.select_memo.Clear();
-  }
   const size_t chunk = ChunkFor(nrows, pool, 256);
   const size_t nchunks = ThreadPool::NumChunks(nrows, chunk);
   struct ChunkOut {
@@ -773,8 +735,6 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
         scratch != nullptr && wk < scratch->workers.size()
             ? &scratch->workers[wk]
             : nullptr;
-    ReachMemo* memo =
-        use_memo && ws != nullptr ? &ws->select_memo : nullptr;
     GraphCodeRecord local_rx, local_ry;
     GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
     GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
@@ -797,28 +757,14 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
         for (const Fused& f : fused) {
           NodeId u = f.new_is_source ? v : f.other_vals[r];
           NodeId w2 = f.new_is_source ? f.other_vals[r] : v;
-          bool reachable;
-          uint32_t memo_slot = 0;
-          bool memo_hit = false;
-          if (memo != nullptr) {
-            memo_slot = memo->Acquire(PackPair(u, w2), &memo_hit);
+          Status s = db.GetCodes(u, f.from_label, &rx);
+          if (s.ok()) s = db.GetCodes(w2, f.to_label, &ry);
+          if (!s.ok()) {
+            errs[c] = std::move(s);
+            return;
           }
-          if (memo_hit) {
-            reachable = memo->value(memo_slot) != 0;
-          } else {
-            Status s = db.GetCodes(u, f.from_label, &rx);
-            if (s.ok()) s = db.GetCodes(w2, f.to_label, &ry);
-            if (!s.ok()) {
-              errs[c] = std::move(s);
-              return;
-            }
-            part.code_fetches += 2;
-            reachable = SortedIntersects(rx.out, ry.in);
-            if (memo != nullptr) {
-              memo->set_value(memo_slot, reachable ? 1u : 0u);
-            }
-          }
-          if (!reachable) {
+          part.code_fetches += 2;
+          if (!SortedIntersects(rx.out, ry.in)) {
             pass = false;
             break;
           }
@@ -844,12 +790,6 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
     stats->rows_scanned += part.rows_scanned;
     stats->rows_pruned += part.rows_pruned;
     stats->code_fetches += part.code_fetches;
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.select_memo.probes();
-      stats->reach_memo_hits += w.select_memo.hits();
-    }
   }
 
   TemporalTable::DeltaColumn& d = table->AddDeltaColumn(new_node);
@@ -910,17 +850,6 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
   if (!cx || !cy) return Status::InvalidArgument("select columns not bound");
   stats->temporal_pages_read += TemporalTablePages(*table);
 
-  // Per-worker reachability memo: a select's verdict for (u, v) is a
-  // pure function of the node pair, so a hit skips both getCenters
-  // calls and the code intersection without changing which rows
-  // survive. Joins frequently revisit pairs (a fetch multiplies rows
-  // without changing the bound pair), making repeats common.
-  const bool use_memo = scratch != nullptr && !scratch->workers.empty() &&
-                        scratch->workers[0].select_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.select_memo.Clear();
-  }
-
   const size_t ncols = table->NumColumns();
   const size_t nrows = table->NumRows();
   const bool chained = !table->deltas().empty();
@@ -955,9 +884,6 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
         scratch != nullptr && wk < scratch->workers.size()
             ? &scratch->workers[wk]
             : nullptr;
-    ReachMemo* memo =
-        ws != nullptr && ws->select_memo.enabled() ? &ws->select_memo
-                                                   : nullptr;
     GraphCodeRecord local_rx, local_ry;
     GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
     GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
@@ -965,28 +891,16 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
       ++part.rows_scanned;
       NodeId u = chained ? gx[r] : rows[r * ncols + *cx];
       NodeId v = chained ? gy[r] : rows[r * ncols + *cy];
-      bool reachable;
-      uint32_t memo_slot = 0;
-      bool memo_hit = false;
-      if (memo != nullptr) {
-        memo_slot = memo->Acquire(PackPair(u, v), &memo_hit);
+      Status s = db.GetCodes(u, node_labels[e.from], &rx);
+      if (s.ok()) s = db.GetCodes(v, node_labels[e.to], &ry);
+      if (!s.ok()) {
+        errs[c] = std::move(s);
+        return;
       }
-      if (memo_hit) {
-        reachable = memo->value(memo_slot) != 0;
-      } else {
-        Status s = db.GetCodes(u, node_labels[e.from], &rx);
-        if (s.ok()) s = db.GetCodes(v, node_labels[e.to], &ry);
-        if (!s.ok()) {
-          errs[c] = std::move(s);
-          return;
-        }
-        part.code_fetches += 2;
-        // Labels differ, so u != v; the code intersection decides (it
-        // covers same-SCC pairs through the shared component center).
-        reachable = SortedIntersects(rx.out, ry.in);
-        if (memo != nullptr) memo->set_value(memo_slot, reachable ? 1u : 0u);
-      }
-      if (!reachable) {
+      part.code_fetches += 2;
+      // Labels differ, so u != v; the code intersection decides (it
+      // covers same-SCC pairs through the shared component center).
+      if (!SortedIntersects(rx.out, ry.in)) {
         ++part.rows_pruned;
         continue;
       }
@@ -1014,12 +928,6 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
       new_pending[s].row_index.insert(new_pending[s].row_index.end(),
                                       part.kept[s].begin(),
                                       part.kept[s].end());
-    }
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.select_memo.probes();
-      stats->reach_memo_hits += w.select_memo.hits();
     }
   }
   if (chained) {

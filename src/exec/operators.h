@@ -24,10 +24,10 @@
 // are identical for every thread count, including the sequential
 // pool == nullptr path. The internal pending-pool layout may differ
 // with chunking (pools deduplicate per chunk), as may work counters:
-// code_fetches, cluster_fetches and reach_memo_* depend on how rows
-// were partitioned across chunks/workers. The produced rows never do —
-// dedup and memoization only short-circuit recomputations whose result
-// is a pure function of the probed node (pair).
+// code_fetches and cluster_fetches depend on how rows were partitioned
+// across chunks. The produced rows never do — dedup only
+// short-circuits recomputations whose result is a pure function of the
+// probed node.
 #ifndef FGPM_EXEC_OPERATORS_H_
 #define FGPM_EXEC_OPERATORS_H_
 
@@ -40,7 +40,6 @@
 #include "exec/temporal_table.h"
 #include "gdb/database.h"
 #include "query/pattern.h"
-#include "reach/reach_memo.h"
 
 namespace fgpm {
 
@@ -57,8 +56,7 @@ struct OperatorStats {
   // so DP-vs-DPS I/O comparisons mean what they meant in the paper.
   uint64_t temporal_pages_read = 0;
   uint64_t temporal_pages_written = 0;
-  // Per-query reachability memo traffic (filter Xi cache + select
-  // verdict cache). Zero when no ExecScratch / disabled memos.
+  // Never written; the perfbench harness still reads them.
   uint64_t reach_memo_probes = 0;
   uint64_t reach_memo_hits = 0;
   // Materialization accounting: full-width rows written into temporal
@@ -90,8 +88,6 @@ struct OperatorStats {
     wtable_lookups += o.wtable_lookups;
     temporal_pages_read += o.temporal_pages_read;
     temporal_pages_written += o.temporal_pages_written;
-    reach_memo_probes += o.reach_memo_probes;
-    reach_memo_hits += o.reach_memo_hits;
     rows_materialized += o.rows_materialized;
     copy_bytes_avoided += o.copy_bytes_avoided;
     kway_intersect_probes += o.kway_intersect_probes;
@@ -100,21 +96,12 @@ struct OperatorStats {
   }
 };
 
-// Operator-owned scratch the Executor threads through a query: per-
-// worker reachability memos (cleared per query) plus reusable buffers
-// that hoist per-call allocations out of the hot probe loops. Operators
-// accept scratch == nullptr (tests and benches calling them directly)
-// and fall back to local temporaries.
+// Operator-owned scratch the Executor threads through a query:
+// reusable buffers that hoist per-call allocations out of the hot probe
+// loops. Operators accept scratch == nullptr (tests and benches calling
+// them directly) and fall back to local temporaries.
 struct ExecScratch {
   struct Worker {
-    // ApplySelect + fused fetch selects: PackPair(u, v) -> verdict.
-    ReachMemo select_memo;
-    // ApplyFilter: (node << 8 | item) -> Xi slot. The memo slot index
-    // doubles as the xi_pool index, so cached center lists are bounded
-    // by the memo capacity. Cleared at the start of every filter call
-    // (item indexes are call-local).
-    ReachMemo filter_memo;
-    std::vector<std::vector<CenterId>> xi_pool;
     GraphCodeRecord rx, ry;  // reused decoded-code records
   };
   std::vector<Worker> workers;
@@ -123,26 +110,8 @@ struct ExecScratch {
   std::vector<CenterId> wtable_scratch;
   std::vector<std::vector<CenterId>> wcenters_pool;
 
-  // Sizes per-worker state; entries == 0 disables both memos.
-  void Configure(unsigned num_workers, size_t entries) {
+  void Configure(unsigned num_workers) {
     workers.assign(std::max(1u, num_workers), Worker{});
-    for (Worker& w : workers) {
-      w.select_memo.Reset(entries);
-      w.filter_memo.Reset(entries);
-      w.xi_pool.assign(w.filter_memo.capacity(), {});
-    }
-  }
-
-  // Per-query reset: memos are operator-call-scoped anyway (each
-  // operator clears at entry and folds its traffic into OperatorStats
-  // at exit), but clearing here too keeps stale verdicts from ever
-  // crossing a query boundary (e.g. after an edge insert). O(1) per
-  // worker via epochs.
-  void BeginQuery() {
-    for (Worker& w : workers) {
-      w.select_memo.Clear();
-      w.filter_memo.Clear();
-    }
   }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/hash.h"
 #include "common/intersect_kernels.h"
 #include "common/sorted_vector.h"
 
@@ -48,6 +47,11 @@ Status FoldStats(Status s, OperatorStats* stats, const OperatorStats& local) {
   if (s.ok()) stats->Add(local);
   return s;
 }
+
+// Expansions at least this long get a chunked-bitmap sidecar so the
+// k-way intersection can take its bitmap-AND fast path; below it, the
+// SIMD array kernels win.
+constexpr uint32_t kDefaultCodeBitmapThreshold = 128;
 
 // A constraint expansion dwarfing the driver's estimate by more than
 // this ratio is not materialized; its candidates are verified by
@@ -154,12 +158,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
     new_pending.push_back({slot.edge, slot.bound_is_source, slot.pool, {}});
   }
 
-  const bool use_memo = scratch != nullptr && !scratch->workers.empty() &&
-                        scratch->workers[0].select_memo.enabled();
-  if (use_memo) {
-    for (auto& w : scratch->workers) w.select_memo.Clear();
-  }
-
   const size_t chunk = ChunkFor(nrows, pool, 128);
   const size_t nchunks = ThreadPool::NumChunks(nrows, chunk);
   struct ChunkOut {
@@ -185,7 +183,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
         scratch != nullptr && wk < scratch->workers.size()
             ? &scratch->workers[wk]
             : nullptr;
-    ReachMemo* memo = use_memo && ws != nullptr ? &ws->select_memo : nullptr;
     GraphCodeRecord local_rx, local_ry;
     GraphCodeRecord& rx = ws != nullptr ? ws->rx : local_rx;
     GraphCodeRecord& ry = ws != nullptr ? ws->ry : local_ry;
@@ -364,30 +361,16 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
               chained ? colv[i][r] : rows[r * ncols + ctx[i].col];
           const NodeId u = ctx[i].forward ? bound_node : v;
           const NodeId w2 = ctx[i].forward ? v : bound_node;
-          bool reachable;
-          uint32_t memo_slot = 0;
-          bool memo_hit = false;
-          if (memo != nullptr) {
-            memo_slot = memo->Acquire(PackPair(u, w2), &memo_hit);
+          const LabelId ul = ctx[i].forward ? ctx[i].col_label : new_label;
+          const LabelId wl = ctx[i].forward ? new_label : ctx[i].col_label;
+          Status s = db.GetCodes(u, ul, &rx);
+          if (s.ok()) s = db.GetCodes(w2, wl, &ry);
+          if (!s.ok()) {
+            errs[c] = std::move(s);
+            return;
           }
-          if (memo_hit) {
-            reachable = memo->value(memo_slot) != 0;
-          } else {
-            const LabelId ul = ctx[i].forward ? ctx[i].col_label : new_label;
-            const LabelId wl = ctx[i].forward ? new_label : ctx[i].col_label;
-            Status s = db.GetCodes(u, ul, &rx);
-            if (s.ok()) s = db.GetCodes(w2, wl, &ry);
-            if (!s.ok()) {
-              errs[c] = std::move(s);
-              return;
-            }
-            part.code_fetches += 2;
-            reachable = SortedIntersects(rx.out, ry.in);
-            if (memo != nullptr) {
-              memo->set_value(memo_slot, reachable ? 1u : 0u);
-            }
-          }
-          if (!reachable) {
+          part.code_fetches += 2;
+          if (!SortedIntersects(rx.out, ry.in)) {
             pass = false;
             break;
           }
@@ -424,12 +407,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
     stats->kway_intersect_probes += part.kway.probes;
     stats->kway_intersect_hits += part.kway.hits;
     stats->wcoj_reach_pruned += part.reach_pruned;
-  }
-  if (use_memo) {
-    for (const auto& w : scratch->workers) {
-      stats->reach_memo_probes += w.select_memo.probes();
-      stats->reach_memo_hits += w.select_memo.hits();
-    }
   }
 
   for (auto& slot : new_pending) slot.row_index.reserve(out_rows);

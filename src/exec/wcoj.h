@@ -12,7 +12,7 @@
 // via IntersectKWayU32 (bitmap sidecars are built over large expansions
 // so the k-way primitive can take its bitmap-AND fast path), and
 // expansions that would dwarf the driver degrade to per-candidate
-// reachability probes through the per-worker select ReachMemo.
+// reachability probes (GetCodes plus one code intersection).
 //
 // Expansions are memoized per (probed node, constraint) within a row
 // chunk — rows repeating a bound node share one expansion, mirroring

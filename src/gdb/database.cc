@@ -10,7 +10,7 @@
 namespace fgpm {
 
 namespace {
-constexpr uint64_t kDbMagic = 0x4d504746'42445631ull;  // "FGPM" "DBV1"
+constexpr uint64_t kDbMagic = 0x4d504746'42445632ull;  // "FGPM" "DBV2"
 }  // namespace
 
 Status GraphDatabase::ApplyEdgeInsert(const Graph& g_after, NodeId u,
@@ -136,11 +136,6 @@ Result<std::unique_ptr<GraphDatabase>> GraphDatabase::Open(
   db->wtable_ = std::make_unique<WTable>(std::move(wt));
   FGPM_RETURN_IF_ERROR(db->catalog_.LoadMeta(&r));
   FGPM_RETURN_IF_ERROR(db->labeling_.LoadMeta(&r));
-  // The sidecar layout is derived data: a file built with another
-  // threshold is re-derived at the current one.
-  if (db->labeling_.bitmap_threshold() != kDefaultCodeBitmapThreshold) {
-    db->labeling_.SetBitmapThreshold(kDefaultCodeBitmapThreshold);
-  }
   if (db->tables_.size() != db->catalog_.num_labels()) {
     return Status::Corruption("table count disagrees with catalog");
   }

@@ -244,8 +244,9 @@ Result<std::unique_ptr<Server>> Server::Start(const Graph* g,
   mo.num_shards = options.num_shards;
   // Every worker joins the process-wide work-stealing scheduler. The
   // workers are reserved as external participants *before* the matcher
-  // builds its executors, so their ThreadPools spawn width - num_shards
-  // (usually zero) internal threads instead of a private pool each —
+  // builds its executors, so their ThreadPools spawn
+  // max(0, width - 1 - num_shards) (usually zero) internal threads
+  // instead of a private pool each —
   // one process-wide set of threads. Released in Stop().
   Scheduler::Global().ReserveExternal(options.num_shards);
   if (mo.exec.num_threads <= 1) {

@@ -118,10 +118,7 @@ std::string PlanExplanation::ToStringWithActuals(const ExecStats& stats) const {
                 static_cast<unsigned long long>(op.copy_bytes_avoided));
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "reach memo: %llu/%llu hits, temporal pages: %llu read, "
-                "%llu written\n",
-                static_cast<unsigned long long>(op.reach_memo_hits),
-                static_cast<unsigned long long>(op.reach_memo_probes),
+                "temporal pages: %llu read, %llu written\n",
                 static_cast<unsigned long long>(op.temporal_pages_read),
                 static_cast<unsigned long long>(op.temporal_pages_written));
   out += buf;

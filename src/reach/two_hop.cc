@@ -74,7 +74,7 @@ bool CoveredSoFar(const std::vector<std::vector<CenterId>>& out_labels,
 
 }  // namespace
 
-// --- flat arena / hybrid layout ---------------------------------------------
+// --- flat arena layout -----------------------------------------------------
 
 void TwoHopLabeling::Flatten(std::vector<std::vector<CenterId>>&& nested,
                              DirCodes* dir) {
@@ -95,114 +95,20 @@ void TwoHopLabeling::Flatten(std::vector<std::vector<CenterId>>&& nested,
   nested.clear();
 }
 
-void TwoHopLabeling::BuildSidecar(DirCodes* dir, uint32_t threshold) {
-  const size_t n = dir->off.empty() ? 0 : dir->off.size() - 1;
-  dir->slot.assign(n, kNoSlot);
-  dir->chunk_off.assign(1, 0);
-  dir->chunks.clear();
-  dir->words.clear();
-  if (threshold == 0) return;
-  for (size_t c = 0; c < n; ++c) {
-    const uint64_t b = dir->off[c], e = dir->off[c + 1];
-    if (e - b < threshold) continue;
-    dir->slot[c] = static_cast<uint32_t>(dir->chunk_off.size() - 1);
-    uint32_t cur = 0xffffffffu;
-    for (uint64_t i = b; i < e; ++i) {
-      const CenterId id = dir->pool[i];
-      const uint32_t chunk = id >> 8;
-      if (chunk != cur) {
-        dir->chunks.push_back(chunk);
-        dir->words.insert(dir->words.end(), 4, 0);
-        cur = chunk;
-      }
-      dir->words[dir->words.size() - 4 + ((id >> 6) & 3)] |=
-          uint64_t{1} << (id & 63);
-    }
-    dir->chunk_off.push_back(static_cast<uint32_t>(dir->chunks.size()));
-  }
-}
-
 void TwoHopLabeling::AdoptCodes(std::vector<std::vector<CenterId>>&& in,
-                                std::vector<std::vector<CenterId>>&& out,
-                                uint32_t bitmap_threshold) {
+                                std::vector<std::vector<CenterId>>&& out) {
   Flatten(std::move(in), &in_);
   Flatten(std::move(out), &out_);
-  bitmap_threshold_ = bitmap_threshold;
-  BuildSidecar(&in_, bitmap_threshold_);
-  BuildSidecar(&out_, bitmap_threshold_);
-}
-
-void TwoHopLabeling::SetBitmapThreshold(uint32_t threshold) {
-  bitmap_threshold_ = threshold;
-  BuildSidecar(&in_, threshold);
-  BuildSidecar(&out_, threshold);
-}
-
-uint32_t TwoHopLabeling::NumBitmapCodes() const {
-  return static_cast<uint32_t>(in_.chunk_off.size() +
-                               out_.chunk_off.size() - 2);
 }
 
 uint64_t TwoHopLabeling::CodeBytes() const {
   auto dir_bytes = [](const DirCodes& d) {
-    return d.pool.size() * sizeof(CenterId) + d.off.size() * sizeof(uint64_t) +
-           d.slot.size() * sizeof(uint32_t) +
-           d.chunk_off.size() * sizeof(uint32_t) +
-           d.chunks.size() * sizeof(uint32_t) +
-           d.words.size() * sizeof(uint64_t);
+    return d.pool.size() * sizeof(CenterId) + d.off.size() * sizeof(uint64_t);
   };
   return dir_bytes(in_) + dir_bytes(out_);
 }
 
-bool TwoHopLabeling::BitmapBitmapIntersects(const DirCodes& a, uint32_t sa,
-                                            const DirCodes& b, uint32_t sb) {
-  size_t i = a.chunk_off[sa];
-  const size_t ie = a.chunk_off[sa + 1];
-  size_t j = b.chunk_off[sb];
-  const size_t je = b.chunk_off[sb + 1];
-  while (i < ie && j < je) {
-    const uint32_t ca = a.chunks[i], cb = b.chunks[j];
-    if (ca == cb) {
-      const uint64_t* wa = &a.words[4 * i];
-      const uint64_t* wb = &b.words[4 * j];
-      if ((wa[0] & wb[0]) | (wa[1] & wb[1]) | (wa[2] & wb[2]) |
-          (wa[3] & wb[3])) {
-        return true;
-      }
-      ++i;
-      ++j;
-    } else {
-      i += (ca < cb);
-      j += (cb < ca);
-    }
-  }
-  return false;
-}
-
-bool TwoHopLabeling::ArrayBitmapIntersects(CodeSpan arr, const DirCodes& b,
-                                           uint32_t sb) {
-  size_t j = b.chunk_off[sb];
-  const size_t je = b.chunk_off[sb + 1];
-  for (const CenterId id : arr) {
-    const uint32_t chunk = id >> 8;
-    while (j < je && b.chunks[j] < chunk) ++j;
-    if (j == je) return false;
-    if (b.chunks[j] != chunk) continue;
-    if (b.words[4 * j + ((id >> 6) & 3)] & (uint64_t{1} << (id & 63))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool TwoHopLabeling::ProbeCodes(CenterId cu, CenterId cv) const {
-  const uint32_t so = out_.slot.empty() ? kNoSlot : out_.slot[cu];
-  const uint32_t si = in_.slot.empty() ? kNoSlot : in_.slot[cv];
-  if (so != kNoSlot) {
-    if (si != kNoSlot) return BitmapBitmapIntersects(out_, so, in_, si);
-    return ArrayBitmapIntersects(Slice(in_, cv), out_, so);
-  }
-  if (si != kNoSlot) return ArrayBitmapIntersects(Slice(out_, cu), in_, si);
   const CodeSpan a = Slice(out_, cu), b = Slice(in_, cv);
   return SortedRangeIntersects(a.data(), a.size(), b.data(), b.size());
 }
@@ -319,15 +225,10 @@ Status TwoHopLabeling::UpdateForEdgeInsert(const Graph& g_after, NodeId u,
     }
   }
   InsertCenter(&in_, gained, c);
-
-  // Code lengths changed; refresh the derived bitmap sidecars.
-  BuildSidecar(&out_, bitmap_threshold_);
-  BuildSidecar(&in_, bitmap_threshold_);
   return Status::OK();
 }
 
-TwoHopLabeling BuildTwoHopPruned(const Graph& g, unsigned num_threads,
-                                 uint32_t bitmap_threshold) {
+TwoHopLabeling BuildTwoHopPruned(const Graph& g, unsigned num_threads) {
   FGPM_CHECK(g.finalized());
   CondensedView view = BuildCondensedView(g, /*order_by_degree=*/true);
   const uint32_t n = view.dag.NumNodes();
@@ -449,12 +350,11 @@ TwoHopLabeling BuildTwoHopPruned(const Graph& g, unsigned num_threads,
   TwoHopLabeling lab;
   lab.scc_of_ = std::move(view.scc_of);
   lab.members_ = std::move(view.members);
-  lab.AdoptCodes(std::move(in_labels), std::move(out_labels),
-                 bitmap_threshold);
+  lab.AdoptCodes(std::move(in_labels), std::move(out_labels));
   return lab;
 }
 
-TwoHopLabeling BuildTwoHopGreedy(const Graph& g, uint32_t bitmap_threshold) {
+TwoHopLabeling BuildTwoHopGreedy(const Graph& g) {
   FGPM_CHECK(g.finalized());
   CondensedView view = BuildCondensedView(g, /*order_by_degree=*/false);
   const uint32_t n = view.dag.NumNodes();
@@ -551,15 +451,13 @@ TwoHopLabeling BuildTwoHopGreedy(const Graph& g, uint32_t bitmap_threshold) {
   TwoHopLabeling lab;
   lab.scc_of_ = std::move(view.scc_of);
   lab.members_ = std::move(view.members);
-  lab.AdoptCodes(std::move(in_labels), std::move(out_labels),
-                 bitmap_threshold);
+  lab.AdoptCodes(std::move(in_labels), std::move(out_labels));
   return lab;
 }
 
 
 void TwoHopLabeling::SaveMeta(BinaryWriter* w) const {
   w->VecU32(scc_of_);
-  w->U32(bitmap_threshold_);
   w->VecU64(in_.off);
   w->VecU32(in_.pool);
   w->VecU64(out_.off);
@@ -588,7 +486,6 @@ Status CheckDirShape(const std::vector<uint64_t>& off,
 
 Status TwoHopLabeling::LoadMeta(BinaryReader* r) {
   FGPM_RETURN_IF_ERROR(r->VecU32(&scc_of_));
-  FGPM_RETURN_IF_ERROR(r->U32(&bitmap_threshold_));
   FGPM_RETURN_IF_ERROR(r->VecU64(&in_.off));
   FGPM_RETURN_IF_ERROR(r->VecU32(&in_.pool));
   FGPM_RETURN_IF_ERROR(r->VecU64(&out_.off));
@@ -604,9 +501,6 @@ Status TwoHopLabeling::LoadMeta(BinaryReader* r) {
       return Status::Corruption("2-hop scc map references unknown center");
     }
   }
-  // The bitmap sidecars are derived data, rebuilt rather than stored.
-  BuildSidecar(&in_, bitmap_threshold_);
-  BuildSidecar(&out_, bitmap_threshold_);
   return Status::OK();
 }
 

@@ -13,18 +13,8 @@
 // time. Codes are handed out as std::span views — no per-center heap
 // allocation, and consecutive centers are adjacent in memory (the
 // builders emit centers in id order, so scans over the labeling walk
-// the pool linearly).
-//
-// On top of the arena sits a hybrid representation (Roaring-style):
-// centers whose codes have >= bitmap_threshold entries additionally get
-// a chunked bitmap sidecar — a sorted list of 256-bit chunks, each four
-// 64-bit words. Probes pick the cheapest form per pair: hub x hub runs
-// a chunk merge of word-ANDs, hub x leaf walks the small array against
-// the bitmap, leaf x leaf goes through the SIMD/galloping kernels of
-// common/sorted_vector.h. The sidecar is storage bounded by the entry
-// count (only non-empty chunks are kept), is rebuilt from the arena on
-// load, and never changes probe results — only their cost (the
-// differential tests sweep thresholds to prove it).
+// the pool linearly). A probe is one sorted intersection of two arena
+// slices (the SIMD/galloping kernels of common/sorted_vector.h).
 //
 // Two builders:
 //  * BuildTwoHopPruned — pruned-BFS construction on the SCC condensation
@@ -56,17 +46,10 @@
 #include "common/serialize.h"
 #include "common/sorted_vector.h"
 #include "graph/graph.h"
-#include "reach/reach_memo.h"
 
 namespace fgpm {
 
 using CenterId = uint32_t;
-
-// Code length at or above which a center gets a bitmap sidecar. The
-// priority renumbering makes hub codes dense in small center ids, so a
-// few hundred entries already span few chunks; below this, the SIMD
-// array kernels win.
-inline constexpr uint32_t kDefaultCodeBitmapThreshold = 128;
 
 class TwoHopLabeling {
  public:
@@ -82,31 +65,10 @@ class TwoHopLabeling {
   CodeSpan CenterOutCode(CenterId c) const { return Slice(out_, c); }
 
   // Reflexive reachability test via code intersection (Example 3.1).
-  // The probe picks the cheapest kernel per pair: bitmap word-AND when
-  // both codes are sidecar'd hubs, array-vs-bitmap walk when one is,
-  // SIMD/galloping array intersection otherwise.
   bool Reaches(NodeId u, NodeId v) const {
     if (u == v) return true;
     const CenterId cu = scc_of_[u], cv = scc_of_[v];
     if (cu == cv) return true;
-    return ProbeCodes(cu, cv);
-  }
-
-  // Memoized variant: consults/updates the per-query memo, keyed on the
-  // component pair so every member pair of the same components shares
-  // one cached verdict. `memo` may be null or disabled (plain probe).
-  bool Reaches(NodeId u, NodeId v, ReachMemo* memo) const {
-    if (u == v) return true;
-    const CenterId cu = scc_of_[u], cv = scc_of_[v];
-    if (cu == cv) return true;
-    if (memo && memo->enabled()) {
-      bool hit = false;
-      const uint32_t slot = memo->Acquire(ReachMemo::PackKey(cu, cv), &hit);
-      if (hit) return memo->value(slot) != 0;
-      const bool r = ProbeCodes(cu, cv);
-      memo->set_value(slot, r ? 1u : 0u);
-      return r;
-    }
     return ProbeCodes(cu, cv);
   }
 
@@ -119,8 +81,7 @@ class TwoHopLabeling {
   // Total *stored* label entries summed over nodes — the paper's |H|
   // (Table 2). Matches the compact representation of Example 3.1: the
   // node's own entry is removed from each stored column, so the two
-  // self entries per node are not counted. Invariant across layout
-  // knobs: the bitmap threshold changes probe kernels, never entries.
+  // self entries per node are not counted.
   uint64_t CoverSize() const;
 
   // Members of a component/center (original node ids, ascending).
@@ -128,15 +89,7 @@ class TwoHopLabeling {
     return members_[c];
   }
 
-  // --- hybrid layout knobs / introspection --------------------------------
-  // Rebuilds the bitmap sidecars for a new threshold (0 disables them;
-  // probes then always run on the arena arrays).
-  void SetBitmapThreshold(uint32_t threshold);
-  uint32_t bitmap_threshold() const { return bitmap_threshold_; }
-  // Number of sidecar'd (bitmap-carrying) codes across both directions.
-  uint32_t NumBitmapCodes() const;
-  // Resident bytes of the code structures (arena pools + offset index +
-  // bitmap sidecars); bench_codes reports this as bytes/entry.
+  // Resident bytes of the code arenas (pools + offset indexes).
   uint64_t CodeBytes() const;
 
   // Incremental maintenance for edge insertion — the 2-hop cover update
@@ -154,31 +107,19 @@ class TwoHopLabeling {
                              std::vector<CenterId>* in_changed = nullptr);
 
   // --- persistence --------------------------------------------------------
-  // Flat format: the arena pools and offset indexes are written as-is;
-  // the bitmap sidecars are derived data and rebuilt on load.
+  // Flat format: the arena pools and offset indexes are written as-is.
   void SaveMeta(BinaryWriter* w) const;
   Status LoadMeta(BinaryReader* r);
 
  private:
   friend TwoHopLabeling BuildTwoHopPruned(const Graph& g,
-                                          unsigned num_threads,
-                                          uint32_t bitmap_threshold);
-  friend TwoHopLabeling BuildTwoHopGreedy(const Graph& g,
-                                          uint32_t bitmap_threshold);
+                                          unsigned num_threads);
+  friend TwoHopLabeling BuildTwoHopGreedy(const Graph& g);
 
-  static constexpr uint32_t kNoSlot = 0xffffffffu;
-
-  // One direction of codes: flat arena + per-center slice index, plus
-  // the chunked bitmap sidecar for codes >= bitmap_threshold_. A chunk
-  // covers 256 center ids (four u64 words); only non-empty chunks are
-  // stored, as a sorted chunk-id list per sidecar slot.
+  // One direction of codes: flat arena + per-center slice index.
   struct DirCodes {
-    std::vector<CenterId> pool;      // all codes, center-major
-    std::vector<uint64_t> off;       // num_centers + 1 slice bounds
-    std::vector<uint32_t> slot;      // center -> sidecar slot / kNoSlot
-    std::vector<uint32_t> chunk_off;  // slot -> chunk range (slots + 1)
-    std::vector<uint32_t> chunks;    // sorted chunk ids (center id >> 8)
-    std::vector<uint64_t> words;     // 4 words per chunk
+    std::vector<CenterId> pool;  // all codes, center-major
+    std::vector<uint64_t> off;   // num_centers + 1 slice bounds
   };
 
   static CodeSpan Slice(const DirCodes& d, CenterId c) {
@@ -186,40 +127,28 @@ class TwoHopLabeling {
     return {d.pool.data() + b, static_cast<size_t>(d.off[c + 1] - b)};
   }
 
-  // Flattens builder output into the arenas and builds the sidecars.
+  // Flattens builder output into the arenas.
   void AdoptCodes(std::vector<std::vector<CenterId>>&& in,
-                  std::vector<std::vector<CenterId>>&& out,
-                  uint32_t bitmap_threshold);
+                  std::vector<std::vector<CenterId>>&& out);
   static void Flatten(std::vector<std::vector<CenterId>>&& nested,
                       DirCodes* dir);
-  static void BuildSidecar(DirCodes* dir, uint32_t threshold);
   // Rebuilds `dir` with center `c` inserted into the codes of every
   // component in `comps` (ascending); one pass over the arena.
   static void InsertCenter(DirCodes* dir, const std::vector<CenterId>& comps,
                            CenterId c);
 
   bool ProbeCodes(CenterId cu, CenterId cv) const;
-  static bool BitmapBitmapIntersects(const DirCodes& a, uint32_t sa,
-                                     const DirCodes& b, uint32_t sb);
-  static bool ArrayBitmapIntersects(CodeSpan arr, const DirCodes& b,
-                                    uint32_t sb);
 
   std::vector<CenterId> scc_of_;              // node -> center id
   DirCodes in_;                               // center -> L_in
   DirCodes out_;                              // center -> L_out
   std::vector<std::vector<NodeId>> members_;  // center -> member nodes
-  uint32_t bitmap_threshold_ = kDefaultCodeBitmapThreshold;
 };
 
 // num_threads: 1 = exact sequential construction (default); 0 = one
 // worker per hardware thread; N = batch-parallel with N workers.
-// bitmap_threshold: see kDefaultCodeBitmapThreshold; 0 disables the
-// bitmap sidecars.
-TwoHopLabeling BuildTwoHopPruned(
-    const Graph& g, unsigned num_threads = 1,
-    uint32_t bitmap_threshold = kDefaultCodeBitmapThreshold);
-TwoHopLabeling BuildTwoHopGreedy(
-    const Graph& g, uint32_t bitmap_threshold = kDefaultCodeBitmapThreshold);
+TwoHopLabeling BuildTwoHopPruned(const Graph& g, unsigned num_threads = 1);
+TwoHopLabeling BuildTwoHopGreedy(const Graph& g);
 
 }  // namespace fgpm
 

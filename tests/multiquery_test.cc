@@ -72,6 +72,25 @@ TEST(ResultCacheTest, ExactHitServesIdenticalRows) {
   EXPECT_GT(m->result_cache()->bytes(), 0u);
 }
 
+TEST(ResultCacheTest, ExactHitSkipsPlanning) {
+  Graph g = gen::ErdosRenyi(300, 1000, 4, 7);
+  ExecOptions eo;
+  eo.use_result_cache = true;
+  auto m = MakeMatcher(g, eo);
+  ASSERT_TRUE(m->Match("L0->L1; L1->L2").ok());
+  const uint64_t hits = m->plan_cache_hits();
+  const uint64_t misses = m->plan_cache_misses();
+  // An exact hit is answered from the cached rows without resolving a
+  // plan: neither plan-cache counter moves and no optimizer time is
+  // charged.
+  auto cached = m->Match("L1->L2; L0->L1");
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->stats.cache_hit, 1);
+  EXPECT_EQ(cached->stats.optimize_ms, 0.0);
+  EXPECT_EQ(m->plan_cache_hits(), hits);
+  EXPECT_EQ(m->plan_cache_misses(), misses);
+}
+
 TEST(ResultCacheTest, LookalikeNeverServedFromCache) {
   Graph g = gen::ErdosRenyi(300, 1200, 4, 13);
   ExecOptions eo;

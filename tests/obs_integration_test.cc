@@ -132,15 +132,13 @@ TEST(TraceIntegrationTest, SpanDeltasSumToQueryTotals) {
   // Fields below are only ever touched inside operator calls (unlike
   // rows_materialized, which the final projection also bumps), so the
   // span deltas must sum back to the query totals exactly.
-  const char* keys[] = {"rows_scanned",      "rows_pruned",
-                        "wtable_lookups",    "reach_memo_probes",
-                        "reach_memo_hits",   "code_fetches",
-                        "cluster_fetches",   "pairs_emitted"};
+  const char* keys[] = {"rows_scanned",    "rows_pruned",
+                        "wtable_lookups",  "code_fetches",
+                        "cluster_fetches", "pairs_emitted"};
   const OperatorStats& op = r->stats.operators;
-  const uint64_t totals[] = {op.rows_scanned,      op.rows_pruned,
-                             op.wtable_lookups,    op.reach_memo_probes,
-                             op.reach_memo_hits,   op.code_fetches,
-                             op.cluster_fetches,   op.pairs_emitted};
+  const uint64_t totals[] = {op.rows_scanned,    op.rows_pruned,
+                             op.wtable_lookups,  op.code_fetches,
+                             op.cluster_fetches, op.pairs_emitted};
   for (size_t k = 0; k < std::size(keys); ++k) {
     uint64_t sum = 0;
     for (const TraceSpan& s : r->stats.trace->spans()) {
@@ -152,7 +150,7 @@ TEST(TraceIntegrationTest, SpanDeltasSumToQueryTotals) {
 
 // Satellite: OperatorStats accumulation is race-free — totals on every
 // thread-count-invariant field match a single-threaded run exactly.
-// (code_fetches / reach_memo_* / pairs_emitted legitimately vary with
+// (code_fetches / pairs_emitted legitimately vary with
 // chunking; see operators.h.)
 TEST(StatsFoldTest, EightThreadTotalsMatchSingleThread) {
   ExecOptions seq;

@@ -196,6 +196,29 @@ TEST(PersistTest, TruncatedDatabaseFileRejected) {
   std::remove(path.c_str());
 }
 
+// DBV1 files stored a bitmap-sidecar threshold inside the labeling
+// metadata; DBV2 does not, so a DBV1 file must be refused rather than
+// misread.
+TEST(PersistTest, OldFormatMagicRejected) {
+  Graph g = gen::ErdosRenyi(100, 300, 3, 59);
+  GraphDatabase db;
+  ASSERT_TRUE(db.Build(g).ok());
+  std::string path = TempPath("dbv1.fgpm");
+  ASSERT_TRUE(db.Save(path).ok());
+  {
+    std::stringstream magic;
+    BinaryWriter w(&magic);
+    w.U64(0x4d504746'42445631ull);  // "FGPM" "DBV1"
+    ASSERT_TRUE(w.ok());
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(0);
+    f.write(magic.str().data(), 8);
+  }
+  auto reopened = GraphDatabase::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
 
 TEST(PersistTest, BitFlipInSavedPageDetected) {
   Graph g = gen::ErdosRenyi(120, 360, 3, 61);

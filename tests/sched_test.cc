@@ -14,6 +14,7 @@
 //    multiply into shards x exec threads (the old oversubscription).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -314,9 +315,9 @@ int CountOsThreads() {
 
 // shards=2 with per-query exec threads=4: the old design would spawn
 // 2 workers + 2 pools x 3 threads = 8 new threads. With the shared
-// scheduler the workers ARE the pool: at most 2 workers + (4 - 2)
-// internal scheduler threads appear (fewer when internals already
-// exist), and never shards x exec.
+// scheduler the workers ARE the pool: the caller plus the 2 reserved
+// workers leave 4 - 1 - 2 = 1 internal scheduler thread to spawn (none
+// when internals already exist), and never shards x exec.
 TEST(ServerThreadCount, SharedSchedulerAvoidsOversubscription) {
   Graph g = gen::ScaleFree(500, 3, 8, /*seed=*/7);
   // Sanitizer runtimes (TSan) start their own background thread lazily on
@@ -334,7 +335,7 @@ TEST(ServerThreadCount, SharedSchedulerAvoidsOversubscription) {
 
   int threads_during = CountOsThreads();
   unsigned internal_during = Scheduler::Global().internal_workers();
-  EXPECT_LE(internal_during - internal_before, 2u);  // width - reserved
+  EXPECT_EQ(internal_during, std::max(internal_before, 1u));
   EXPECT_LE(threads_during - threads_before,
             2 + static_cast<int>(internal_during - internal_before))
       << "server spawned private executor pools (oversubscription)";
