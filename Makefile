@@ -21,7 +21,7 @@
 # `concurrency`, `reach`, `exec`, `obs`, `obs2`, `wcoj`, `mqo`, `net` and
 # `sched` ctest labels (buffer-pool / code-cache hammer tests,
 # code-layout round-trips, the multi-threaded probe differentials, the
-# eager-vs-factorized materialization differentials and the
+# executor row-order and naive-matcher differentials and the
 # metrics/trace suites with their 8-thread exact-total checks): each
 # maintains a separate instrumented tree
 # (./build-tsan, ./build-asan) so the regular build is never polluted

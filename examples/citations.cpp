@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     if (!pattern.ok()) {
       std::fprintf(stderr, "  parse error: %s\n",
                    pattern.status().ToString().c_str());
-      continue;
+      return 1;
     }
     size_t expected = 0;
     bool first = true;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       if (!r.ok()) {
         std::printf("  %-7s error: %s\n", EngineName(e),
                     r.status().ToString().c_str());
-        continue;
+        return 1;
       }
       std::printf("  %-7s %8zu matches in %8.2f ms\n", EngineName(e),
                   r->rows.size(), r->stats.elapsed_ms);

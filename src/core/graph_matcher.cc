@@ -128,12 +128,11 @@ Result<std::unique_ptr<GraphMatcher>> GraphMatcher::FromDatabase(
 }
 
 Result<Plan> GraphMatcher::MakePlan(const Pattern& pattern, Engine engine) const {
-  // Cost the plan for the representation it will actually run under:
-  // factorized execution writes delta pairs instead of full-width rows,
-  // so wide intermediates stop dominating the estimates.
+  // Cost the plan for the representation it runs under: fetches write
+  // delta pairs instead of full-width rows, so wide intermediates stop
+  // dominating the estimates.
   CostParams params;
-  params.factorized =
-      executor_.options().materialization == Materialization::kFactorized;
+  params.factorized = true;
   const JoinStrategy strategy = executor_.options().join_strategy;
   // kWcoj forces a pure bind-per-vertex plan; kHybrid hands bind-moves
   // to the cost-based searches, which mix them freely with binary
@@ -187,16 +186,13 @@ Result<const Plan*> GraphMatcher::ResolvePlan(const Pattern& pattern,
   const Plan* plan = nullptr;
   if (options.use_plan_cache) {
     // The key must cover everything MakePlan's output depends on: the
-    // engine, the join strategy, and the materialization mode (both
-    // change which plan is optimal for the same pattern). The pattern
-    // part is the canonical key, so every spelling of a pattern (edge
-    // order, chain grouping, node numbering) shares one entry.
-    const ExecOptions& eo = executor_.options();
+    // engine and the join strategy (which changes which plan is optimal
+    // for the same pattern). The pattern part is the canonical key, so
+    // every spelling of a pattern (edge order, chain grouping, node
+    // numbering) shares one entry.
     cache_key = std::string(EngineName(options.engine)) + "|" +
-                JoinStrategyName(eo.join_strategy) + "|" +
-                (eo.materialization == Materialization::kFactorized ? "F"
-                                                                    : "E") +
-                "|" + canon.key;
+                JoinStrategyName(executor_.options().join_strategy) + "|" +
+                canon.key;
     const Plan* cached = LookupPlan(cache_key);
     if (cached != nullptr) {
       // Cached plans live in canonical coordinates; translate node ids
@@ -458,8 +454,7 @@ Result<ExplainAnalyzeResult> GraphMatcher::ExplainAnalyze(
   // Explain with the exact CostParams the optimizer planned under, so
   // est-vs-actual deltas expose model error, not a configuration skew.
   CostParams params;
-  params.factorized =
-      executor_.options().materialization == Materialization::kFactorized;
+  params.factorized = true;
   ExplainAnalyzeResult out;
   FGPM_ASSIGN_OR_RETURN(
       out.explanation,

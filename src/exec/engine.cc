@@ -113,12 +113,12 @@ void AttachSpanArgs(QueryTrace* trace, uint32_t span, uint64_t rows_in,
   delta("page_reads", 0, io.page_reads);
 }
 
-// Runs plan.steps against `table`, with factorized select fusion,
+// Runs plan.steps against `table`, with select fusion into fetch,
 // per-step stats (steps/step_rows/step_wall_ms/step_absorbed) and
 // optional spans (trace may be null).
 Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
                     const std::vector<LabelId>& node_labels, const Plan& plan,
-                    bool factorized, TemporalTable* table, ExecStats* stats,
+                    TemporalTable* table, ExecStats* stats,
                     QueryTrace* trace, uint32_t query_span, ThreadPool* pool,
                     ExecScratch* scratch, uint64_t* wcoj_binds) {
   const std::vector<PlanStep>& steps = plan.steps;
@@ -126,7 +126,7 @@ Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
     const PlanStep& step = steps[si];
     size_t absorbed = 0;
     std::vector<uint32_t> fused;
-    if (factorized && step.kind == StepKind::kFetch) {
+    if (step.kind == StepKind::kFetch) {
       // Fuse the consecutive selects that touch the node this fetch
       // binds (their other endpoint is bound already — plans
       // validate selects): the predicates run on candidates inside
@@ -236,7 +236,7 @@ Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
 
 // The single materialization point: projects `table` into
 // result->rows in pattern-node order (plans bind labels in plan
-// order). Each column of a factorized table is gathered once,
+// order). Each column of a delta-chained table is gathered once,
 // sequentially.
 void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
                       MatchResult* result) {
@@ -334,13 +334,11 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
             result.rows.push_back({rec.node});
           }));
     } else {
-      TemporalTable table(options_.materialization);
-      const bool factorized =
-          options_.materialization == Materialization::kFactorized;
+      TemporalTable table;
       FGPM_RETURN_IF_ERROR(RunPlanSteps(*db_, pattern, node_labels, plan,
-                                        factorized, &table, &result.stats,
-                                        trace.get(), query_span, pool_.get(),
-                                        &scratch_, &wcoj_binds));
+                                        &table, &result.stats, trace.get(),
+                                        query_span, pool_.get(), &scratch_,
+                                        &wcoj_binds));
       MaterializeTable(pattern, table, &result);
     }
   }

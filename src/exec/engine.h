@@ -59,17 +59,12 @@ struct MatchResult {
   void SortRows();
 };
 
-// Intra-operator parallelism + materialization knobs. Result rows are
-// identical for every thread count and both materialization modes (see
-// operators.h / temporal_table.h); elapsed time and chunking-affected
-// counters (code_fetches) may differ. num_threads == 1 keeps the
-// sequential code paths.
+// Intra-operator parallelism and caching knobs. Result rows, in order,
+// are identical for every thread count (see operators.h); elapsed time
+// and chunking-affected counters (code_fetches) may differ.
+// num_threads == 1 keeps the sequential code paths.
 struct ExecOptions {
   unsigned num_threads = 1;  // 0 = one worker per hardware thread
-  // Intermediate-result representation. kFactorized defers row copies
-  // to output via delta columns and enables select fusion into fetch;
-  // kEager is the paper-layout A/B baseline.
-  Materialization materialization = Materialization::kFactorized;
   // GraphMatcher plan-cache bound (entries). 0 disables caching.
   size_t plan_cache_capacity = 256;
   // Result cache (GraphMatcher): answer a repeated query (any spelling

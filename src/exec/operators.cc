@@ -46,10 +46,10 @@ Status FirstError(const std::vector<Status>& statuses) {
   return Status::OK();
 }
 
-// Fetch (and the eager fetch loop below) emit, per input row, the row
-// extended by every candidate in ascending order. When the input rows
-// were already lexicographically sorted and distinct under sorted_by,
-// the output is sorted and distinct under sorted_by + {new column}.
+// Fetch and the WCOJ bind emit, per input row, the row extended by
+// every candidate in ascending order. When the input rows were already
+// lexicographically sorted and distinct under sorted_by, the output is
+// sorted and distinct under sorted_by + {new column}.
 void ExtendSortOrder(TemporalTable* table, size_t new_col) {
   if (table->sorted_by().empty()) return;
   std::vector<size_t> sb = table->sorted_by();
@@ -461,9 +461,6 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
     }
     deep.parent = std::move(new_parent);
     deep.value = std::move(new_value);
-    if (ncols * 4 > 8) {
-      stats->copy_bytes_avoided += kept_rows * (ncols * 4 - 8);
-    }
   } else {
     std::vector<NodeId> new_rows;
     new_rows.reserve(kept_rows * ncols);
@@ -496,127 +493,32 @@ Status ApplyFilterImpl(const GraphDatabase& db, const Pattern& pattern,
   return Status::OK();
 }
 
-// Eager fetch: re-widen the row block, copying the full prefix per
-// emitted row — the paper's layout and the A/B baseline.
-Status FetchEager(const GraphDatabase& db, bool bound_is_source,
-                  LabelId new_label, PatternNodeId new_node,
-                  TemporalTable* table, OperatorStats* stats,
-                  ThreadPool* pool, size_t slot_idx) {
-  const size_t ncols = table->NumColumns();
-  const size_t nrows = table->NumRows();
-  const std::vector<NodeId>& rows = table->raw_rows();
-  const auto& slot = table->pending()[slot_idx];
-
-  std::vector<TemporalTable::PendingSlot> new_pending;
-  std::vector<size_t> kept_slots;
-  for (size_t s = 0; s < table->pending().size(); ++s) {
-    if (s == slot_idx) continue;
-    kept_slots.push_back(s);
-    new_pending.push_back({table->pending()[s].edge,
-                           table->pending()[s].bound_is_source,
-                           table->pending()[s].pool,
-                           {}});
-  }
-
-  // Row-range partitions; each chunk expands its rows' pending centers
-  // through the R-join index into a local buffer. Within a row the
-  // candidate set is sorted + uniqued (a row's expansion is a set).
-  const size_t chunk = ChunkFor(nrows, pool, 64);
-  const size_t nchunks = ThreadPool::NumChunks(nrows, chunk);
-  struct ChunkOut {
-    std::vector<NodeId> rows;
-    std::vector<std::vector<uint32_t>> kept;  // per kept pending slot
-    uint64_t cluster_fetches = 0;
-    uint64_t pairs_emitted = 0;
-  };
-  std::vector<ChunkOut> parts(nchunks);
-  std::vector<Status> errs(nchunks);
-  RunChunked(pool, nrows, chunk, [&](unsigned, size_t c, size_t begin,
-                                     size_t end) {
-    ChunkOut& part = parts[c];
-    part.kept.resize(kept_slots.size());
-    std::vector<NodeId> cluster, cand;  // reused across the chunk's rows
-    for (size_t r = begin; r < end; ++r) {
-      cand.clear();
-      for (CenterId w : slot.CentersFor(r)) {
-        // Expanding toward the edge target uses T-subclusters; toward
-        // the source uses F-subclusters.
-        Status s = bound_is_source
-                       ? db.rjoin_index().GetT(w, new_label, &cluster)
-                       : db.rjoin_index().GetF(w, new_label, &cluster);
-        if (!s.ok()) {
-          errs[c] = std::move(s);
-          return;
-        }
-        ++part.cluster_fetches;
-        part.pairs_emitted += cluster.size();
-        cand.insert(cand.end(), cluster.begin(), cluster.end());
-      }
-      std::sort(cand.begin(), cand.end());
-      cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-      for (NodeId v : cand) {
-        part.rows.insert(part.rows.end(), rows.begin() + r * ncols,
-                         rows.begin() + (r + 1) * ncols);
-        part.rows.push_back(v);
-        for (size_t k = 0; k < kept_slots.size(); ++k) {
-          part.kept[k].push_back(table->pending()[kept_slots[k]].row_index[r]);
-        }
-      }
-    }
-  });
-  FGPM_RETURN_IF_ERROR(FirstError(errs));
-
-  size_t out_rows = 0;
-  for (const ChunkOut& part : parts) {
-    out_rows += part.rows.size() / (ncols + 1);
-    stats->cluster_fetches += part.cluster_fetches;
-    stats->pairs_emitted += part.pairs_emitted;
-  }
-  std::vector<NodeId> new_rows;
-  new_rows.reserve(out_rows * (ncols + 1));
-  for (size_t k = 0; k < kept_slots.size(); ++k) {
-    new_pending[k].row_index.reserve(out_rows);
-  }
-  for (ChunkOut& part : parts) {
-    new_rows.insert(new_rows.end(), part.rows.begin(), part.rows.end());
-    for (size_t k = 0; k < kept_slots.size(); ++k) {
-      new_pending[k].row_index.insert(new_pending[k].row_index.end(),
-                                      part.kept[k].begin(),
-                                      part.kept[k].end());
-    }
-  }
-
-  table->AddColumn(new_node);
-  table->raw_rows() = std::move(new_rows);
-  table->pending() = std::move(new_pending);
-  ExtendSortOrder(table, ncols);
-  stats->rows_materialized += out_rows;
-  stats->temporal_pages_written += TemporalTablePages(*table);
-  return Status::OK();
-}
-
-// Factorized fetch: append a (parent, value) delta column instead of
-// re-widening. Each distinct pending-pool entry is expanded through the
-// cluster index exactly once (rows sharing a probed node share a pool
-// entry since the filter dedup), single-center expansions skip the
-// redundant re-sort, and fused select edges prune candidates before
-// they are appended.
-Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
-                       const std::vector<LabelId>& node_labels,
-                       bool bound_is_source, LabelId new_label,
-                       PatternNodeId new_node, TemporalTable* table,
-                       OperatorStats* stats, ThreadPool* pool,
-                       ExecScratch* scratch, size_t slot_idx,
-                       const std::vector<uint32_t>& fused_selects) {
+// Fetch: append a (parent, value) delta column. Each distinct
+// pending-pool entry is expanded through the cluster index exactly once
+// (rows sharing a probed node share a pool entry since the filter
+// dedup), single-center expansions skip the redundant re-sort, and
+// fused select edges prune candidates before they are appended.
+Status ApplyFetchImpl(const GraphDatabase& db, const Pattern& pattern,
+                      const std::vector<LabelId>& node_labels, uint32_t edge,
+                      bool bound_is_source, TemporalTable* table,
+                      OperatorStats* stats, ThreadPool* pool,
+                      ExecScratch* scratch,
+                      const std::vector<uint32_t>& fused_selects) {
+  auto slot_idx = table->PendingSlotFor(edge, bound_is_source);
+  if (!slot_idx) return Status::InvalidArgument("fetch without filter");
+  stats->temporal_pages_read += TemporalTablePages(*table);
   const auto& edges = pattern.edges();
+  const PatternNodeId new_node =
+      bound_is_source ? edges[edge].to : edges[edge].from;
+  const LabelId new_label = node_labels[new_node];
   const size_t ncols = table->NumColumns();
   const size_t nrows = table->NumRows();
-  const auto& slot = table->pending()[slot_idx];
+  const auto& slot = table->pending()[*slot_idx];
 
   std::vector<TemporalTable::PendingSlot> new_pending;
   std::vector<size_t> kept_slots;
   for (size_t s = 0; s < table->pending().size(); ++s) {
-    if (s == slot_idx) continue;
+    if (s == *slot_idx) continue;
     kept_slots.push_back(s);
     new_pending.push_back({table->pending()[s].edge,
                            table->pending()[s].bound_is_source,
@@ -808,37 +710,9 @@ Status FetchFactorized(const GraphDatabase& db, const Pattern& pattern,
     }
   }
   table->pending() = std::move(new_pending);
-  // Eager would have written (ncols + 1) ids per output row; the delta
-  // column writes 8 bytes (parent + value).
-  stats->copy_bytes_avoided += out_rows * ((ncols + 1) * 4 - 8);
   ExtendSortOrder(table, ncols);
   stats->temporal_pages_written += TemporalTablePages(*table);
   return Status::OK();
-}
-
-Status ApplyFetchImpl(const GraphDatabase& db, const Pattern& pattern,
-                      const std::vector<LabelId>& node_labels, uint32_t edge,
-                      bool bound_is_source, TemporalTable* table,
-                      OperatorStats* stats, ThreadPool* pool,
-                      ExecScratch* scratch,
-                      const std::vector<uint32_t>& fused_selects) {
-  auto slot_idx = table->PendingSlotFor(edge, bound_is_source);
-  if (!slot_idx) return Status::InvalidArgument("fetch without filter");
-  const bool factorized = table->mode() == Materialization::kFactorized;
-  if (!fused_selects.empty() && !factorized) {
-    return Status::InvalidArgument("select fusion requires factorized tables");
-  }
-  stats->temporal_pages_read += TemporalTablePages(*table);
-  const PatternEdge& e = pattern.edges()[edge];
-  PatternNodeId new_node = bound_is_source ? e.to : e.from;
-  LabelId new_label = node_labels[new_node];
-  if (factorized) {
-    return FetchFactorized(db, pattern, node_labels, bound_is_source,
-                           new_label, new_node, table, stats, pool, scratch,
-                           *slot_idx, fused_selects);
-  }
-  return FetchEager(db, bound_is_source, new_label, new_node, table, stats,
-                    pool, *slot_idx);
 }
 
 Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
@@ -944,9 +818,6 @@ Status ApplySelectImpl(const GraphDatabase& db, const Pattern& pattern,
     }
     deep.parent = std::move(new_parent);
     deep.value = std::move(new_value);
-    if (ncols * 4 > 8) {
-      stats->copy_bytes_avoided += kept_rows * (ncols * 4 - 8);
-    }
   } else {
     std::vector<NodeId> new_rows;
     new_rows.reserve(kept_rows * ncols);

@@ -5,9 +5,8 @@
 //                  temporal table with shared getCenters fetches
 //                  (Remark 3.1).
 //   ApplyFetch   — Algorithm 2 Fetch: expands pending centers through
-//                  the cluster-based R-join index. On a factorized
-//                  table the expansion appends a delta column instead
-//                  of re-widening the row block, expands each distinct
+//                  the cluster-based R-join index into a new delta
+//                  column (temporal_table.h), expands each distinct
 //                  pending-pool entry once, and can evaluate fused
 //                  select edges on candidates *before* they are
 //                  appended (fused_selects).
@@ -59,11 +58,9 @@ struct OperatorStats {
   // Never written; the perfbench harness still reads them.
   uint64_t reach_memo_probes = 0;
   uint64_t reach_memo_hits = 0;
-  // Materialization accounting: full-width rows written into temporal
-  // storage or the result set, and the NodeId-copy bytes the factorized
-  // representation avoided relative to eager re-widening.
+  // Materialization accounting: full-width rows written into the
+  // row-major base block or the result set.
   uint64_t rows_materialized = 0;
-  uint64_t copy_bytes_avoided = 0;
   // WCOJ bind accounting: k-way intersection work (candidates tested
   // against a non-driver set / candidates surviving every set) and
   // candidates that survived the set intersection but were dropped by a
@@ -89,7 +86,6 @@ struct OperatorStats {
     temporal_pages_read += o.temporal_pages_read;
     temporal_pages_written += o.temporal_pages_written;
     rows_materialized += o.rows_materialized;
-    copy_bytes_avoided += o.copy_bytes_avoided;
     kway_intersect_probes += o.kway_intersect_probes;
     kway_intersect_hits += o.kway_intersect_hits;
     wcoj_reach_pruned += o.wcoj_reach_pruned;
@@ -140,9 +136,9 @@ Status ApplyFilter(const GraphDatabase& db, const Pattern& pattern,
                    OperatorStats* stats, ThreadPool* pool = nullptr,
                    ExecScratch* scratch = nullptr);
 
-// `fused_selects` (factorized tables only): pattern edges whose other
-// endpoint is already bound, evaluated per candidate inside the
-// expansion loop — rejected candidates are never appended.
+// `fused_selects`: pattern edges whose other endpoint is already bound,
+// evaluated per candidate inside the expansion loop — rejected
+// candidates are never appended.
 Status ApplyFetch(const GraphDatabase& db, const Pattern& pattern,
                   const std::vector<LabelId>& node_labels, uint32_t edge,
                   bool bound_is_source, TemporalTable* table,

@@ -22,23 +22,6 @@ std::optional<size_t> TemporalTable::PendingSlotFor(
   return std::nullopt;
 }
 
-NodeId TemporalTable::At(size_t row, size_t col) const {
-  const size_t bc = base_columns();
-  if (deltas_.empty()) return rows_[row * bc + col];
-  // Walk the parent chain from the deepest level down to the level that
-  // owns `col`. Level k's rows are deltas_[k - 1]; level 0 is the base
-  // block.
-  size_t level = deltas_.size();
-  size_t idx = row;
-  const size_t target_level = col >= bc ? col - bc + 1 : 0;
-  while (level > target_level) {
-    idx = deltas_[level - 1].parent[idx];
-    --level;
-  }
-  if (target_level == 0) return rows_[idx * bc + col];
-  return deltas_[target_level - 1].value[idx];
-}
-
 void TemporalTable::GatherColumn(size_t col, std::vector<NodeId>* out) const {
   const size_t bc = base_columns();
   const size_t nrows = NumRows();
@@ -69,20 +52,6 @@ void TemporalTable::GatherColumn(size_t col, std::vector<NodeId>* out) const {
     const std::vector<NodeId>& v = deltas_[target_level - 1].value;
     for (size_t r = 0; r < nrows; ++r) (*out)[r] = v[idx[r]];
   }
-}
-
-void TemporalTable::Flatten() {
-  if (deltas_.empty()) return;
-  const size_t ncols = NumColumns();
-  const size_t nrows = NumRows();
-  std::vector<std::vector<NodeId>> cols(ncols);
-  for (size_t c = 0; c < ncols; ++c) GatherColumn(c, &cols[c]);
-  std::vector<NodeId> flat(nrows * ncols);
-  for (size_t r = 0; r < nrows; ++r) {
-    for (size_t c = 0; c < ncols; ++c) flat[r * ncols + c] = cols[c][r];
-  }
-  rows_ = std::move(flat);
-  deltas_.clear();
 }
 
 uint64_t TemporalTable::ByteSize() const {

@@ -2,18 +2,13 @@
 // rows may carry *pending* center sets produced by R-semijoins whose
 // Fetch has not run yet (the separation DPS exploits, Section 4.2).
 //
-// Two row representations share this class:
-//
-//   kEager      — one row-major NodeId block (`rows_`), re-widened and
-//                 fully copied by every fetch. The paper's layout; kept
-//                 as the A/B baseline.
-//   kFactorized — the row-major block holds only the columns bound
-//                 before the first fetch; each fetch appends a
-//                 DeltaColumn of (parent_row, new_node) pairs that
-//                 reference the previous level. A chain of fetches
-//                 forms a factorized prefix tree; full rows exist only
-//                 when GatherColumn / Flatten materializes them (once,
-//                 at output).
+// One row representation: a row-major NodeId block (`rows_`) holds the
+// columns bound before the first fetch (HPSJ and scan produce it;
+// filters and selects compact it). Each fetch or WCOJ bind appends a
+// DeltaColumn of (parent_row, new_node) pairs that reference the
+// previous level, so a chain of fetches forms a factorized prefix
+// tree. Full rows exist only when GatherColumn materializes them (once,
+// at output).
 //
 // NumRows() always refers to the deepest level — the logical row count.
 // Filters and selects compact only the deepest level; earlier levels
@@ -32,22 +27,11 @@
 
 namespace fgpm {
 
-// Intermediate-result policy, plumbed through ExecOptions.
-enum class Materialization : uint8_t {
-  kEager,       // row-major copies at every join (baseline)
-  kFactorized,  // delta columns, rows materialized at output
-};
-
 class TemporalTable {
  public:
-  TemporalTable() = default;
-  explicit TemporalTable(Materialization mode) : mode_(mode) {}
-
-  Materialization mode() const { return mode_; }
-
-  // One fetch level of the factorized representation: row r of this
-  // level extends row parent[r] of the previous level with value[r]
-  // bound to pattern node `node`.
+  // One fetch (or WCOJ bind) level: row r of this level extends row
+  // parent[r] of the previous level with value[r] bound to pattern node
+  // `node`.
   struct DeltaColumn {
     PatternNodeId node = 0;
     std::vector<uint32_t> parent;
@@ -64,13 +48,10 @@ class TemporalTable {
     return rows_.size() / std::max<size_t>(1, schema_.size());
   }
 
-  // O(1) on the eager block; O(chain depth) through delta parents.
-  NodeId At(size_t row, size_t col) const;
-
   // Column index of a pattern node, if bound.
   std::optional<size_t> ColumnOf(PatternNodeId node) const;
 
-  // --- eager construction (used by operators) ----------------------------
+  // --- base block construction -------------------------------------------
   // Base columns/rows; delta levels must not exist yet when appending.
   void AddColumn(PatternNodeId node) { schema_.push_back(node); }
   void AppendRow(const std::vector<NodeId>& row) {
@@ -86,7 +67,7 @@ class TemporalTable {
   std::vector<NodeId>& raw_rows() { return rows_; }
   const std::vector<NodeId>& raw_rows() const { return rows_; }
 
-  // --- factorized construction -------------------------------------------
+  // --- delta levels ------------------------------------------------------
   DeltaColumn& AddDeltaColumn(PatternNodeId node) {
     schema_.push_back(node);
     deltas_.emplace_back();
@@ -99,11 +80,6 @@ class TemporalTable {
   // Materializes column `col` for every current (deepest-level) row by
   // composing parent chains top-down: O(rows * depth), sequential reads.
   void GatherColumn(size_t col, std::vector<NodeId>* out) const;
-
-  // Rewrites the table as one row-major block (drops all delta levels).
-  // The row order is preserved. For operators that genuinely need
-  // random row access.
-  void Flatten();
 
   // Bytes of the current representation (base block + delta levels),
   // excluding pending pools. Basis of the charged temporal-table I/O.
@@ -143,7 +119,6 @@ class TemporalTable {
                                        bool bound_is_source) const;
 
  private:
-  Materialization mode_ = Materialization::kEager;
   std::vector<PatternNodeId> schema_;
   std::vector<NodeId> rows_;
   std::vector<DeltaColumn> deltas_;

@@ -129,7 +129,6 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
   const size_t ncols = table->NumColumns();
   const size_t nrows = table->NumRows();
   const bool chained = !table->deltas().empty();
-  const bool factorized = table->mode() == Materialization::kFactorized;
   const std::vector<NodeId>& rows = table->raw_rows();
 
   // Gathered bound columns (delta-chained tables only), shared when two
@@ -161,9 +160,8 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
   const size_t chunk = ChunkFor(nrows, pool, 128);
   const size_t nchunks = ThreadPool::NumChunks(nrows, chunk);
   struct ChunkOut {
-    std::vector<uint32_t> parent;  // factorized output
+    std::vector<uint32_t> parent;
     std::vector<NodeId> value;
-    std::vector<NodeId> rows;  // eager output (full row copies)
     std::vector<std::vector<uint32_t>> kept;  // per pending slot
     uint64_t rows_scanned = 0;
     uint64_t rows_pruned = 0;
@@ -379,14 +377,8 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
           ++part.reach_pruned;
           continue;
         }
-        if (factorized) {
-          part.parent.push_back(static_cast<uint32_t>(r));
-          part.value.push_back(v);
-        } else {
-          part.rows.insert(part.rows.end(), rows.begin() + r * ncols,
-                           rows.begin() + (r + 1) * ncols);
-          part.rows.push_back(v);
-        }
+        part.parent.push_back(static_cast<uint32_t>(r));
+        part.value.push_back(v);
         for (size_t s = 0; s < new_pending.size(); ++s) {
           part.kept[s].push_back(table->pending()[s].row_index[r]);
         }
@@ -397,8 +389,7 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
 
   size_t out_rows = 0;
   for (const ChunkOut& part : parts) {
-    out_rows += factorized ? part.parent.size()
-                           : part.rows.size() / (ncols + 1);
+    out_rows += part.parent.size();
     stats->rows_scanned += part.rows_scanned;
     stats->rows_pruned += part.rows_pruned;
     stats->code_fetches += part.code_fetches;
@@ -410,35 +401,17 @@ Status ApplyWcojBindImpl(const GraphDatabase& db, const Pattern& pattern,
   }
 
   for (auto& slot : new_pending) slot.row_index.reserve(out_rows);
-  if (factorized) {
-    TemporalTable::DeltaColumn& d = table->AddDeltaColumn(new_node);
-    d.parent.reserve(out_rows);
-    d.value.reserve(out_rows);
-    for (ChunkOut& part : parts) {
-      d.parent.insert(d.parent.end(), part.parent.begin(),
-                      part.parent.end());
-      d.value.insert(d.value.end(), part.value.begin(), part.value.end());
-      for (size_t s = 0; s < new_pending.size(); ++s) {
-        new_pending[s].row_index.insert(new_pending[s].row_index.end(),
-                                        part.kept[s].begin(),
-                                        part.kept[s].end());
-      }
+  TemporalTable::DeltaColumn& d = table->AddDeltaColumn(new_node);
+  d.parent.reserve(out_rows);
+  d.value.reserve(out_rows);
+  for (ChunkOut& part : parts) {
+    d.parent.insert(d.parent.end(), part.parent.begin(), part.parent.end());
+    d.value.insert(d.value.end(), part.value.begin(), part.value.end());
+    for (size_t s = 0; s < new_pending.size(); ++s) {
+      new_pending[s].row_index.insert(new_pending[s].row_index.end(),
+                                      part.kept[s].begin(),
+                                      part.kept[s].end());
     }
-    stats->copy_bytes_avoided += out_rows * ((ncols + 1) * 4 - 8);
-  } else {
-    std::vector<NodeId> new_rows;
-    new_rows.reserve(out_rows * (ncols + 1));
-    for (ChunkOut& part : parts) {
-      new_rows.insert(new_rows.end(), part.rows.begin(), part.rows.end());
-      for (size_t s = 0; s < new_pending.size(); ++s) {
-        new_pending[s].row_index.insert(new_pending[s].row_index.end(),
-                                        part.kept[s].begin(),
-                                        part.kept[s].end());
-      }
-    }
-    table->AddColumn(new_node);
-    table->raw_rows() = std::move(new_rows);
-    stats->rows_materialized += out_rows;
   }
   table->pending() = std::move(new_pending);
   ExtendSortOrder(table, ncols);

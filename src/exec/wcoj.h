@@ -20,10 +20,9 @@
 // chunk order, so the produced rows are identical for every thread
 // count (the work counters, as everywhere, are not).
 //
-// On a factorized table the bound vertex becomes a new delta level; in
-// eager mode the row block is re-widened like FetchEager. Pending
-// filter slots (hybrid plans can bind mid-pipeline) are carried through
-// unchanged.
+// The bound vertex becomes a new delta level of the temporal table, as
+// a fetch's does. Pending filter slots (hybrid plans can bind
+// mid-pipeline) are carried through unchanged.
 #ifndef FGPM_EXEC_WCOJ_H_
 #define FGPM_EXEC_WCOJ_H_
 

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/scheduler.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -29,6 +30,9 @@ namespace fgpm::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// DRR quantum: requests a connection may release per scheduler round.
+constexpr uint32_t kDrrQuantum = 1;
 
 uint64_t ElapsedUs(Clock::time_point since) {
   return static_cast<uint64_t>(
@@ -150,6 +154,21 @@ QueryResponse ErrorResponse(uint64_t id, const Status& s) {
 }
 
 QueryResponse OkResponse(const QueryRequest& req, MatchResult result) {
+  if (!req.checksum_only()) {
+    // A full-row response must fit one frame (wire.h); a longer one
+    // would poison the client's FrameDecoder and its connection. Fixed
+    // fields: id, status, flags, ncols, row_count.
+    uint64_t bytes = 8 + 1 + 1 + 2 + 8 + 4ull * result.rows.size() *
+                                              result.column_labels.size();
+    for (const std::string& c : result.column_labels) bytes += 2 + c.size();
+    if (bytes > kMaxFrameBytes) {
+      return ErrorResponse(
+          req.id, Status::ResourceExhausted(
+                      std::to_string(result.rows.size()) +
+                      " result rows exceed the response frame cap; request "
+                      "kFlagChecksumOnly for the row count and checksum"));
+    }
+  }
   QueryResponse resp;
   resp.id = req.id;
   // Echo the request flags minus the extensions bit: responses carry no
@@ -158,7 +177,7 @@ QueryResponse OkResponse(const QueryRequest& req, MatchResult result) {
   resp.columns = std::move(result.column_labels);
   resp.row_count = result.rows.size();
   if (req.checksum_only()) {
-    resp.checksum = RowChecksum(result.rows);
+    resp.checksum = RowSetChecksum(result.rows);
   } else {
     resp.rows = std::move(result.rows);
   }
@@ -752,7 +771,7 @@ void Server::Schedule(Worker* w) {
       }
       continue;
     }
-    c->deficit += options_.drr_quantum;
+    c->deficit += kDrrQuantum;
     while (c->deficit > 0 && !c->pending.empty() &&
            w->inflight < options_.dispatch_window) {
       Dispatch(w, c);

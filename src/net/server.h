@@ -49,8 +49,6 @@ struct ServerOptions {
   size_t max_queue = 4096;
   // Per-connection queue bound; reaching it pauses reads (backpressure).
   size_t max_conn_queue = 1024;
-  // DRR quantum: requests a connection may release per scheduler round.
-  uint32_t drr_quantum = 1;
   // Dispatch window per worker: requests released (executing or queued
   // at their target shard) at once. Small values sharpen fairness;
   // larger values keep more shards busy from one origin worker.

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/hash.h"
-
 namespace fgpm::net {
 namespace {
 
@@ -203,10 +201,6 @@ Status DecodeQueryResponse(std::span<const char> payload,
     for (auto& v : row) FGPM_RETURN_IF_ERROR(r.Get(&v));
   }
   return r.ExpectDone();
-}
-
-uint64_t RowChecksum(const std::vector<std::vector<NodeId>>& rows) {
-  return RowSetChecksum(rows);
 }
 
 Result<bool> FrameDecoder::Next(std::string* payload) {

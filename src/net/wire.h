@@ -16,6 +16,7 @@
 //   response := [u64 id][u8 status_code]
 //               ok:    [u8 flags][u16 ncols][ncols x (u16 len, bytes)]
 //                      checksum_only: [u64 row_count][u64 checksum]
+//                        (checksum = RowSetChecksum, common/hash.h)
 //                      else:          [u64 row_count][rows x ncols x u32]
 //               error: [u16 msg_len][msg bytes]
 //
@@ -99,11 +100,6 @@ void EncodeQueryResponse(const QueryResponse& resp, std::string* out);
 Status DecodeQueryRequest(std::span<const char> payload, QueryRequest* req);
 Status DecodeQueryResponse(std::span<const char> payload,
                            QueryResponse* resp);
-
-// Order-independent checksum of a result's rows: commutative fold of
-// per-row hashes, so any row order (server shard interleaving) compares
-// equal to a direct GraphMatcher::Match. 0 for an empty result.
-uint64_t RowChecksum(const std::vector<std::vector<NodeId>>& rows);
 
 // Incremental frame splitter. Feed arbitrary byte chunks; Next() pops
 // complete payloads. A length prefix above kMaxFrameBytes poisons the

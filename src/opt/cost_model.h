@@ -26,13 +26,14 @@ struct CostParams {
   double io_page_scan = 1.0;      // IO_S
   double cpu_per_tuple = 0.001;   // charge for producing an output tuple
   // Charge per NodeId copied when an operator (re)writes its output
-  // rows into temporal storage. Under eager materialization a step
-  // writing R rows of width W copies R*W ids; a factorized fetch writes
-  // only the (parent, value) delta pair regardless of W.
+  // rows into temporal storage. A row-major step writing R rows of
+  // width W copies R*W ids; an executor fetch writes only the (parent,
+  // value) delta pair regardless of W.
   double cpu_per_id_copy = 0.0002;
-  // Executor materialization mode the plan will run under; makes DP/DPS
-  // stop over-charging wide intermediates when fetches append delta
-  // columns instead of re-widening.
+  // Charge the delta pair instead of the full row width. GraphMatcher
+  // sets it for the plans the executor runs (fetches append delta
+  // columns); false keeps the paper's row-width charge, which INT-DP
+  // pays for its own row-major lists.
   bool factorized = false;
   // WCOJ vertex binds: CPU charged per driver candidate tested against
   // another constraint set (the k-way intersection / reach probes), and

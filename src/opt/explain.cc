@@ -112,10 +112,8 @@ std::string PlanExplanation::ToStringWithActuals(const ExecStats& stats) const {
                 stats.elapsed_ms, stats.optimize_ms);
   out += buf;
   const OperatorStats& op = stats.operators;
-  std::snprintf(buf, sizeof(buf),
-                "materialized: %llu rows, copy bytes avoided: %llu\n",
-                static_cast<unsigned long long>(op.rows_materialized),
-                static_cast<unsigned long long>(op.copy_bytes_avoided));
+  std::snprintf(buf, sizeof(buf), "materialized: %llu rows\n",
+                static_cast<unsigned long long>(op.rows_materialized));
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "temporal pages: %llu read, %llu written\n",

@@ -1,11 +1,12 @@
 // Factorized (late-materialized) temporal tables:
-//  * TemporalTable delta-column mechanics: At / GatherColumn / Flatten,
-//    span-style AppendRow + Reserve, sort-order provenance.
-//  * Fixed-plan exact-row-order equality between kEager and kFactorized
-//    executors (same plan, same database), including fused selects.
-//  * Randomized differential: kFactorized vs kEager vs the naive
-//    matcher over DAG / Erdos-Renyi / scale-free graphs at 1, 4 and 8
-//    threads — row-identical results everywhere.
+//  * TemporalTable delta-column mechanics: GatherColumn over base and
+//    delta levels, span-style AppendRow + Reserve, sort-order
+//    provenance.
+//  * Fixed-plan exact-row-order equality across 1, 4 and 8 threads
+//    (same plan, same database), including fused selects.
+//  * Randomized differential: executor rows vs the naive matcher over
+//    DAG / Erdos-Renyi / scale-free graphs at 1, 4 and 8 threads —
+//    row-identical results everywhere.
 //  * Bounded LRU plan cache: eviction order, hit/miss counters,
 //    capacity 0 disables caching.
 #include <gtest/gtest.h>
@@ -24,10 +25,10 @@
 namespace fgpm {
 namespace {
 
-TEST(TemporalTableTest, DeltaColumnAccessAndFlatten) {
+TEST(TemporalTableTest, DeltaColumnAccessAndGather) {
   // Base block: two columns, three rows; one delta level fanning row 0
   // out twice and row 2 once; a second level extending two of those.
-  TemporalTable t(Materialization::kFactorized);
+  TemporalTable t;
   t.AddColumn(0);
   t.AddColumn(1);
   const NodeId r0[] = {10, 20};
@@ -50,32 +51,21 @@ TEST(TemporalTableTest, DeltaColumnAccessAndFlatten) {
   d2.value = {40, 41};
   ASSERT_EQ(t.NumRows(), 2u);
 
-  // Logical rows: (10, 20, 31, 40) and (12, 22, 32, 41).
-  EXPECT_EQ(t.At(0, 0), 10u);
-  EXPECT_EQ(t.At(0, 1), 20u);
-  EXPECT_EQ(t.At(0, 2), 31u);
-  EXPECT_EQ(t.At(0, 3), 40u);
-  EXPECT_EQ(t.At(1, 0), 12u);
-  EXPECT_EQ(t.At(1, 2), 32u);
-
+  // Logical rows: (10, 20, 31, 40) and (12, 22, 32, 41) — every column,
+  // base and delta, gathered through the parent chains.
+  const std::vector<std::vector<NodeId>> want = {
+      {10, 12}, {20, 22}, {31, 32}, {40, 41}};
   std::vector<NodeId> col;
-  t.GatherColumn(0, &col);
-  EXPECT_EQ(col, (std::vector<NodeId>{10, 12}));
-  t.GatherColumn(2, &col);
-  EXPECT_EQ(col, (std::vector<NodeId>{31, 32}));
-  t.GatherColumn(3, &col);
-  EXPECT_EQ(col, (std::vector<NodeId>{40, 41}));
+  for (size_t c = 0; c < want.size(); ++c) {
+    t.GatherColumn(c, &col);
+    EXPECT_EQ(col, want[c]) << "column " << c;
+  }
+
+  // The base block is untouched by the delta levels.
+  EXPECT_EQ(t.raw_rows(), (std::vector<NodeId>{10, 20, 11, 21, 12, 22}));
 
   // ByteSize counts base ids + (parent, value) pairs.
   EXPECT_EQ(t.ByteSize(), (6 + 3 * 2 + 2 * 2) * 4ull);
-
-  t.Flatten();
-  EXPECT_TRUE(t.deltas().empty());
-  EXPECT_EQ(t.NumRows(), 2u);
-  EXPECT_EQ(t.base_columns(), 4u);
-  EXPECT_EQ(t.raw_rows(),
-            (std::vector<NodeId>{10, 20, 31, 40, 12, 22, 32, 41}));
-  EXPECT_EQ(t.At(1, 3), 41u);  // flat At agrees with the gathered rows
 }
 
 TEST(TemporalTableTest, ReserveAndSortOrder) {
@@ -98,28 +88,20 @@ class MaterializationFixture : public ::testing::Test {
     ASSERT_TRUE(db_->Build(*graph_).ok());
   }
 
-  // Same database, same plan, both representations, several thread
-  // counts: rows must be identical in identical ORDER (a stronger
-  // contract than set equality; see operators.h).
-  void ExpectModesAgreeOnPlan(const Pattern& p, const Plan& plan) {
+  // Same database, same plan, several thread counts: rows must be
+  // identical in identical ORDER (a stronger contract than set
+  // equality; see operators.h).
+  void ExpectRowOrderAgreesAcrossThreads(const Pattern& p, const Plan& plan) {
     std::vector<std::vector<NodeId>> reference;
-    bool have_reference = false;
     for (unsigned threads : {1u, 4u, 8u}) {
-      for (Materialization mode :
-           {Materialization::kEager, Materialization::kFactorized}) {
-        Executor exec(db_.get(), ExecOptions{.num_threads = threads,
-                                             .materialization = mode});
-        auto r = exec.Execute(p, plan);
-        ASSERT_TRUE(r.ok()) << r.status();
-        if (!have_reference) {
-          reference = r->rows;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(r->rows, reference)
-              << "threads=" << threads << " mode="
-              << (mode == Materialization::kEager ? "eager" : "factorized")
-              << " pattern " << p.ToString();
-        }
+      Executor exec(db_.get(), ExecOptions{.num_threads = threads});
+      auto r = exec.Execute(p, plan);
+      ASSERT_TRUE(r.ok()) << r.status();
+      if (threads == 1) {
+        reference = r->rows;
+      } else {
+        EXPECT_EQ(r->rows, reference)
+            << "threads=" << threads << " pattern " << p.ToString();
       }
     }
   }
@@ -128,11 +110,10 @@ class MaterializationFixture : public ::testing::Test {
   std::unique_ptr<GraphDatabase> db_;
 };
 
-TEST_F(MaterializationFixture, FixedPlansRowOrderIdenticalAcrossModes) {
+TEST_F(MaterializationFixture, FixedPlansRowOrderIdenticalAcrossThreads) {
   BuildDb(gen::ErdosRenyi(220, 700, 5, 17));
   // Chain (fetch chain), star, and a diamond whose closing edge forces a
-  // select — the select is fused into the preceding fetch under
-  // factorized execution.
+  // select — the select is fused into the preceding fetch.
   for (const char* q :
        {"L0->L1; L1->L2; L2->L3", "L0->L1; L0->L2; L0->L3",
         "L0->L1; L1->L3; L0->L2; L2->L3", "L0->L1; L1->L2; L0->L2"}) {
@@ -140,7 +121,7 @@ TEST_F(MaterializationFixture, FixedPlansRowOrderIdenticalAcrossModes) {
     ASSERT_TRUE(p.ok());
     auto plan = OptimizeDps(*p, db_->catalog());
     ASSERT_TRUE(plan.ok()) << plan.status();
-    ExpectModesAgreeOnPlan(*p, *plan);
+    ExpectRowOrderAgreesAcrossThreads(*p, *plan);
   }
 }
 
@@ -151,12 +132,10 @@ TEST_F(MaterializationFixture, FactorizedAvoidsCopiesOnFetchChains) {
   auto plan = OptimizeDps(*p, db_->catalog());
   ASSERT_TRUE(plan.ok());
 
-  Executor fact(db_.get(),
-                ExecOptions{.materialization = Materialization::kFactorized});
-  auto r = fact.Execute(*p, *plan);
+  Executor exec(db_.get());
+  auto r = exec.Execute(*p, *plan);
   ASSERT_TRUE(r.ok());
   if (r->rows.empty()) GTEST_SKIP() << "empty result; nothing to measure";
-  EXPECT_GT(r->stats.operators.copy_bytes_avoided, 0u);
   // step_rows covers every executed plan step and ends at the result.
   ASSERT_EQ(r->stats.step_rows.size(), plan->steps.size());
   EXPECT_EQ(r->stats.step_rows.back(), r->stats.result_rows);
@@ -205,21 +184,16 @@ TEST_P(MaterializationDifferential, ModesAgreeWithNaiveAcrossThreadCounts) {
   auto [kind, seed] = GetParam();
   Graph g = MakeGraph(kind, seed);
 
-  // One matcher per (mode, thread count) over the same graph.
+  // One matcher per thread count over the same graph.
   struct Variant {
-    Materialization mode;
     unsigned threads;
     std::unique_ptr<GraphMatcher> matcher;
   };
   std::vector<Variant> variants;
-  for (Materialization mode :
-       {Materialization::kEager, Materialization::kFactorized}) {
-    for (unsigned t : {1u, 4u, 8u}) {
-      auto m = GraphMatcher::Create(
-          &g, {}, ExecOptions{.num_threads = t, .materialization = mode});
-      ASSERT_TRUE(m.ok()) << m.status();
-      variants.push_back({mode, t, std::move(*m)});
-    }
+  for (unsigned t : {1u, 4u, 8u}) {
+    auto m = GraphMatcher::Create(&g, {}, ExecOptions{.num_threads = t});
+    ASSERT_TRUE(m.ok()) << m.status();
+    variants.push_back({t, std::move(*m)});
   }
 
   auto patterns = workload::RandomPatterns(g, /*count=*/5, /*nodes=*/3,
@@ -240,9 +214,8 @@ TEST_P(MaterializationDifferential, ModesAgreeWithNaiveAcrossThreadCounts) {
         r->SortRows();
         EXPECT_EQ(r->rows, expect->rows)
             << GraphKindName(kind) << " seed " << seed << " engine "
-            << EngineName(e) << " threads " << v.threads << " mode "
-            << (v.mode == Materialization::kEager ? "eager" : "factorized")
-            << " pattern " << p.ToString();
+            << EngineName(e) << " threads " << v.threads << " pattern "
+            << p.ToString();
       }
     }
   }

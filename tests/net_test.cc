@@ -1,7 +1,8 @@
 // Query server + wire protocol (ctest label `net`): frame codec
 // roundtrips and fuzzing, server-vs-direct row-identity differentials
 // across shard counts x engines x join strategies, malformed/oversized
-// input handling (framed Status errors, never asserts), DRR fairness
+// input and oversized-result handling (framed Status errors, never
+// asserts or forbidden frames), DRR fairness
 // under a greedy pipelining client, admission-control overload,
 // per-connection backpressure, request deadlines, the HTTP
 // observability endpoints, and per-request trace spans.
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/graph_matcher.h"
@@ -206,13 +208,13 @@ TEST(WireTest, ResponseRoundtripsRowsChecksumAndError) {
   EXPECT_EQ(back.error, "queue full");
 }
 
-TEST(WireTest, RowChecksumIsOrderIndependent) {
+TEST(WireTest, RowSetChecksumIsOrderIndependent) {
   std::vector<std::vector<NodeId>> a = {{1, 2}, {3, 4}, {9, 9}};
   std::vector<std::vector<NodeId>> b = {{9, 9}, {1, 2}, {3, 4}};
   std::vector<std::vector<NodeId>> c = {{1, 2}, {3, 5}, {9, 9}};
-  EXPECT_EQ(net::RowChecksum(a), net::RowChecksum(b));
-  EXPECT_NE(net::RowChecksum(a), net::RowChecksum(c));
-  EXPECT_EQ(net::RowChecksum({}), 0u);
+  EXPECT_EQ(RowSetChecksum(a), RowSetChecksum(b));
+  EXPECT_NE(RowSetChecksum(a), RowSetChecksum(c));
+  EXPECT_EQ(RowSetChecksum({}), 0u);
 }
 
 TEST(FrameDecoderTest, ByteAtATimeAndPipelined) {
@@ -378,7 +380,7 @@ TEST(ServerTest, DifferentialAcrossShardsEnginesStrategies) {
       ASSERT_TRUE(sum.ok()) << sum.status();
       ASSERT_TRUE(sum->ok()) << sum->error;
       EXPECT_EQ(sum->row_count, want.size());
-      EXPECT_EQ(sum->checksum, net::RowChecksum(want));
+      EXPECT_EQ(sum->checksum, RowSetChecksum(want));
       EXPECT_TRUE(sum->rows.empty());
     }
   }
@@ -409,7 +411,7 @@ TEST(ServerTest, PipelinedResponsesMatchById) {
     seen[resp.id] = true;
     auto want = SortedRows(f.direct->Match(P(patterns[resp.id].ToString())));
     EXPECT_EQ(resp.row_count, want.size());
-    EXPECT_EQ(resp.checksum, net::RowChecksum(want));
+    EXPECT_EQ(resp.checksum, RowSetChecksum(want));
   }
 }
 
@@ -480,6 +482,66 @@ TEST(ServerTest, MalformedInputsGetFramedErrorsNotAsserts) {
     EXPECT_EQ(err.code, StatusCode::kCorruption);
     // Server closes after the error frame: Recv now fails.
     EXPECT_FALSE(doomed->Recv(&err).ok());
+  }
+}
+
+// A result whose full-row frame would exceed kMaxFrameBytes is answered
+// with a framed ResourceExhausted instead of a frame the client's
+// decoder must reject (which would poison the connection). The dense
+// cyclic graph has one giant SCC, so the 6-label star pairs nearly
+// every L0 node with every combination of the other labels: several
+// hundred thousand 6-column rows, more than 8 MiB of ids. Wide rows
+// keep the test's memory small for that many bytes.
+TEST(ServerTest, OversizedResultIsFramedErrorAndConnectionSurvives) {
+  constexpr const char* kStar = "L0->L1; L0->L2; L0->L3; L0->L4; L0->L5";
+  Graph g = gen::ErdosRenyi(60, 220, 6, /*seed=*/3);
+  auto direct = GraphMatcher::Create(&g);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  auto want = (*direct)->Match(P(kStar));
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_GT(want->rows.size() * 6 * sizeof(NodeId), net::kMaxFrameBytes);
+  const uint64_t want_checksum = RowSetChecksum(want->rows);
+  const uint64_t want_rows = want->rows.size();
+  want->rows = {};
+
+  // One shard answers from its own matcher; over two shards the star
+  // spans both and is gathered on the origin worker. Both paths cap.
+  for (uint32_t shards : {1u, 2u}) {
+    ServerOptions opts;
+    opts.num_shards = shards;
+    auto server = net::Server::Start(&g, opts);
+    ASSERT_TRUE(server.ok()) << server.status();
+    EXPECT_EQ((*server)->matcher()->Route(P(kStar)).has_value(), shards == 1);
+    auto client = net::Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status();
+
+    QueryRequest req;
+    req.id = 1;
+    req.pattern = kStar;
+    auto resp = (*client)->Query(req);
+    ASSERT_TRUE(resp.ok()) << "shards=" << shards << ": " << resp.status();
+    EXPECT_EQ(resp->id, 1u);
+    EXPECT_EQ(resp->code, StatusCode::kResourceExhausted) << resp->error;
+    EXPECT_NE(resp->error.find("kFlagChecksumOnly"), std::string::npos)
+        << resp->error;
+
+    // The same connection still answers a small query...
+    req.id = 2;
+    req.pattern = "L0";
+    resp = (*client)->Query(req);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_TRUE(resp->ok()) << resp->error;
+    EXPECT_EQ(resp->rows, SortedRows((*direct)->Match(P("L0"))));
+
+    // ...and the large one checksum-only.
+    req.id = 3;
+    req.pattern = kStar;
+    req.flags = net::kFlagChecksumOnly;
+    resp = (*client)->Query(req);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_TRUE(resp->ok()) << resp->error;
+    EXPECT_EQ(resp->row_count, want_rows);
+    EXPECT_EQ(resp->checksum, want_checksum);
   }
 }
 

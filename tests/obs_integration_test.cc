@@ -19,7 +19,7 @@ namespace fgpm {
 namespace {
 
 // Triangle pattern: under DPS this exercises HPSJ + filter/fetch and a
-// select that the factorized engine fuses into the fetch.
+// select that the engine fuses into the fetch.
 constexpr const char* kTriangle = "L0->L1; L1->L2; L0->L2";
 
 std::unique_ptr<GraphMatcher> MakeMatcher(ExecOptions exec_options = {},
@@ -61,8 +61,8 @@ TEST(TraceIntegrationTest, SpanPerExecutedStep) {
 TEST(TraceIntegrationTest, MultiFusedSelectChildSpansShareFetchInterval) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "FGPM_OBS=OFF";
   // 4-clique: the last node bound by a fetch has two remaining edges
-  // into already-bound nodes, so the factorized engine absorbs >=2
-  // selects into one fetch. Regression: emitting the second child span
+  // into already-bound nodes, so the engine absorbs >=2 selects into
+  // one fetch. Regression: emitting the second child span
   // used to read the parent's interval through a reference invalidated
   // by the first AddCompleteSpan's push_back (heap use-after-free).
   constexpr const char* kClique4 =
@@ -174,7 +174,6 @@ TEST(StatsFoldTest, EightThreadTotalsMatchSingleThread) {
     EXPECT_EQ(a.rows_pruned, b.rows_pruned) << pattern;
     EXPECT_EQ(a.wtable_lookups, b.wtable_lookups) << pattern;
     EXPECT_EQ(a.rows_materialized, b.rows_materialized) << pattern;
-    EXPECT_EQ(a.copy_bytes_avoided, b.copy_bytes_avoided) << pattern;
     EXPECT_EQ(a.temporal_pages_read, b.temporal_pages_read) << pattern;
     EXPECT_EQ(a.temporal_pages_written, b.temporal_pages_written) << pattern;
   }
@@ -210,8 +209,8 @@ TEST(ExplainAnalyzeTest, ReportShowsEstimatesActualsAndTimes) {
 }
 
 TEST(ExplainAnalyzeTest, FusedSelectMarkedInReport) {
-  // DPS + factorized on the triangle produces a select absorbed into
-  // the preceding fetch; the report must render it as "[fused]" with no
+  // DPS on the triangle produces a select absorbed into the preceding
+  // fetch; the report must render it as "[fused]" with no
   // time entry instead of dividing by a missing slot.
   auto m = MakeMatcher();
   auto ea = m->ExplainAnalyze(kTriangle);

@@ -313,6 +313,32 @@ int CountOsThreads() {
   return n;
 }
 
+// shards=1 with per-query exec threads=4: the one reserved external
+// (the server worker) plus the caller leave 4 - 1 - 1 = 2 internal
+// scheduler threads to spawn (none beyond those that already exist),
+// and no private executor pool.
+TEST(ServerThreadCount, OneExternalLeavesTwoInternalWorkers) {
+  Graph g = gen::ScaleFree(500, 3, 8, /*seed=*/7);
+  std::thread([] {}).join();  // see SharedSchedulerAvoidsOversubscription
+  int threads_before = CountOsThreads();
+  unsigned internal_before = Scheduler::Global().internal_workers();
+
+  net::ServerOptions opts;
+  opts.num_shards = 1;
+  opts.matcher.exec.num_threads = 4;
+  auto server = net::Server::Start(&g, opts);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  int threads_during = CountOsThreads();
+  unsigned internal_during = Scheduler::Global().internal_workers();
+  EXPECT_EQ(internal_during, std::max(internal_before, 2u));
+  EXPECT_LE(threads_during - threads_before,
+            1 + static_cast<int>(internal_during - internal_before))
+      << "server spawned private executor pools (oversubscription)";
+
+  (*server)->Stop();
+}
+
 // shards=2 with per-query exec threads=4: the old design would spawn
 // 2 workers + 2 pools x 3 threads = 8 new threads. With the shared
 // scheduler the workers ARE the pool: the caller plus the 2 reserved

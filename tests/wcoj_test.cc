@@ -2,8 +2,8 @@
 //  * Randomized differential on cyclic patterns (triangles through
 //    5-cliques, cycles, diamonds): the kWcoj and kHybrid strategies vs
 //    the naive matcher AND vs the binary-plan strategy, at 1, 4 and 8
-//    threads, under both materialization modes — with the exact
-//    row-order determinism contract across thread counts.
+//    threads — with the exact row-order determinism contract across
+//    thread counts.
 //  * Hybrid gating: acyclic patterns never get bind steps; forced kWcoj
 //    produces pure scan+bind plans that validate.
 //  * Plan-cache regression: the cache key includes the join strategy,
@@ -59,24 +59,19 @@ TEST_P(WcojDifferential, CyclicPatternsMatchNaiveAndBinary) {
   auto [kind, seed] = GetParam();
   Graph g = MakeTestGraph(kind, seed);
 
-  // One matcher per (threads, materialization); strategies toggle on
-  // the same matcher via set_join_strategy (exercising the cache key).
+  // One matcher per thread count; strategies toggle on the same
+  // matcher via set_join_strategy (exercising the cache key).
   struct M {
     unsigned threads;
-    Materialization mat;
     std::unique_ptr<GraphMatcher> matcher;
   };
   std::vector<M> ms;
   for (unsigned t : {1u, 4u, 8u}) {
-    for (Materialization mat :
-         {Materialization::kFactorized, Materialization::kEager}) {
-      ExecOptions eo;
-      eo.num_threads = t;
-      eo.materialization = mat;
-      auto m = GraphMatcher::Create(&g, {}, eo);
-      ASSERT_TRUE(m.ok()) << m.status();
-      ms.push_back({t, mat, std::move(*m)});
-    }
+    ExecOptions eo;
+    eo.num_threads = t;
+    auto m = GraphMatcher::Create(&g, {}, eo);
+    ASSERT_TRUE(m.ok()) << m.status();
+    ms.push_back({t, std::move(*m)});
   }
 
   std::vector<std::string> patterns = {kTriangle, kDiamond, kFourClique,
@@ -102,10 +97,10 @@ TEST_P(WcojDifferential, CyclicPatternsMatchNaiveAndBinary) {
           auto r = m.matcher->Match(*p, {.engine = e});
           ASSERT_TRUE(r.ok()) << sc.name << ": " << r.status();
           // Determinism: identical row order across thread counts
-          // within one materialization mode and strategy.
-          if (m.threads == 1 && m.mat == Materialization::kFactorized) {
+          // within one strategy.
+          if (m.threads == 1) {
             single_rows = r->rows;
-          } else if (m.mat == Materialization::kFactorized) {
+          } else {
             EXPECT_EQ(r->rows, single_rows)
                 << sc.name << " threads " << m.threads
                 << " differs from single-threaded rows, " << text;
@@ -113,7 +108,6 @@ TEST_P(WcojDifferential, CyclicPatternsMatchNaiveAndBinary) {
           r->SortRows();
           EXPECT_EQ(r->rows, expect->rows)
               << EngineName(e) << "/" << sc.name << " threads " << m.threads
-              << " mat " << (m.mat == Materialization::kEager ? "E" : "F")
               << " pattern " << text;
         }
       }
