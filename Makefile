@@ -16,6 +16,10 @@
 #                       tests (the Chase-Lev deque is the TSan-critical
 #                       piece of the scheduler)
 #   make verify-asan  - AddressSanitizer pass over the same labels
+#   make verify-release - clean Release build (./build-release) of the
+#                       library targets under src/; fails on any
+#                       compiler warning (-O3 diagnostics the
+#                       RelWithDebInfo tier-1 build never sees)
 #
 # verify-tsan / verify-asan are the one-command sanitizer gates for the
 # `concurrency`, `reach`, `exec`, `obs`, `obs2`, `wcoj`, `mqo`, `net` and
@@ -30,9 +34,13 @@
 BUILD_DIR ?= build
 TSAN_BUILD_DIR ?= build-tsan
 ASAN_BUILD_DIR ?= build-asan
+RELEASE_BUILD_DIR ?= build-release
+# Library targets of src/CMakeLists.txt (first word after add_library).
+SRC_LIBS := $(shell grep '^add_library' src/CMakeLists.txt | \
+              tr -c 'a-z_\n' ' ' | awk '{print $$2}')
 JOBS ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test bench-obs bench-selftest verify-tsan verify-asan
+.PHONY: build test bench-obs bench-selftest verify-tsan verify-asan verify-release
 
 build:
 	cmake -B $(BUILD_DIR) -S .
@@ -57,3 +65,13 @@ verify-asan:
 	cmake -B $(ASAN_BUILD_DIR) -S . -DFGPM_SANITIZE=address
 	cmake --build $(ASAN_BUILD_DIR) -j $(JOBS)
 	ctest --test-dir $(ASAN_BUILD_DIR) -L 'concurrency|reach|exec|obs|obs2|wcoj|mqo|net|sched' --output-on-failure
+
+verify-release:
+	cmake -B $(RELEASE_BUILD_DIR) -S . -DCMAKE_BUILD_TYPE=Release
+	cmake --build $(RELEASE_BUILD_DIR) --clean-first -j $(JOBS) \
+	  --target $(SRC_LIBS) > $(RELEASE_BUILD_DIR)/verify-release.log 2>&1 || \
+	  (cat $(RELEASE_BUILD_DIR)/verify-release.log; exit 1)
+	@if grep -n 'warning:' $(RELEASE_BUILD_DIR)/verify-release.log; then \
+	  echo "verify-release: compiler warnings in the Release build"; exit 1; \
+	fi
+	@echo "verify-release: $(words $(SRC_LIBS)) library targets, no warnings"

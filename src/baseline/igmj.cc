@@ -60,6 +60,7 @@ Result<MatchResult> IntDpEngine::Match(const Pattern& pattern) {
   for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
     result.column_labels.push_back(pattern.label(i));
   }
+  result.rows = RowBlock(pattern.num_nodes());
 
   std::vector<LabelId> node_labels(pattern.num_nodes());
   bool resolvable = true;
@@ -82,7 +83,7 @@ Result<MatchResult> IntDpEngine::Match(const Pattern& pattern) {
   if (!resolvable) return finish();
 
   if (pattern.num_edges() == 0) {
-    for (NodeId v : g_->Extent(node_labels[0])) result.rows.push_back({v});
+    for (NodeId v : g_->Extent(node_labels[0])) result.rows.Append({v});
     return finish();
   }
 
@@ -203,13 +204,9 @@ Result<MatchResult> IntDpEngine::Match(const Pattern& pattern) {
     for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
       col_of[i] = column_of(i);
     }
-    result.rows.reserve(rows.size());
+    NodeId* out = result.rows.AppendUninitialized(rows.size());
     for (const auto& row : rows) {
-      std::vector<NodeId> projected(pattern.num_nodes());
-      for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
-        projected[i] = row[col_of[i]];
-      }
-      result.rows.push_back(std::move(projected));
+      for (int c : col_of) *out++ = row[c];
     }
   }
   return finish();

@@ -37,6 +37,7 @@ Result<MatchResult> TsdEngine::Match(const Pattern& pattern) {
   for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
     result.column_labels.push_back(pattern.label(i));
   }
+  result.rows = RowBlock(pattern.num_nodes());
 
   std::vector<LabelId> node_labels(pattern.num_nodes());
   bool resolvable = true;
@@ -76,7 +77,7 @@ Result<MatchResult> TsdEngine::Match(const Pattern& pattern) {
     size_t depth = 0;
     while (true) {
       if (depth == order.size()) {
-        result.rows.push_back(binding);
+        result.rows.Append(binding);
         --depth;
         bound[order[depth]] = false;
         ++pos[depth];

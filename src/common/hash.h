@@ -4,7 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace fgpm {
 
@@ -24,24 +24,12 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
 
 // Hash of a tuple of 32-bit ids (used to deduplicate result rows).
 struct RowHash {
-  size_t operator()(const std::vector<uint32_t>& row) const {
+  size_t operator()(std::span<const uint32_t> row) const {
     uint64_t h = 0x84222325cbf29ce4ULL;
     for (uint32_t v : row) h = HashCombine(h, v);
     return static_cast<size_t>(h);
   }
 };
-
-// Order-independent fingerprint of a set of result rows: commutative
-// (+) over per-row mixed hashes, so any reordering checks equal while a
-// changed, missing or duplicated row does not. Shared by the wire
-// protocol's checksum-only responses and the benches' row-identity
-// verification — both sides must agree on the algorithm.
-inline uint64_t RowSetChecksum(const std::vector<std::vector<uint32_t>>& rows) {
-  RowHash h;
-  uint64_t sum = 0;
-  for (const auto& row : rows) sum += HashMix(static_cast<uint64_t>(h(row)));
-  return sum;
-}
 
 // Hash for a pair of 32-bit ids packed into one key.
 inline uint64_t PackPair(uint32_t a, uint32_t b) {

@@ -1,5 +1,6 @@
 #include "core/graph_matcher.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -264,21 +265,17 @@ void GraphMatcher::SyncResultCacheMetrics() {
 }
 
 bool GraphMatcher::TryResultCache(const CanonicalForm& canon,
-                                  std::vector<std::vector<NodeId>>* rows) {
+                                  RowBlock* rows) {
   ResultCache* cache = result_cache_.get();
   if (cache == nullptr) return false;
-  const ResultCache::Entry* e = cache->LookupExact(canon.key);
+  const RowBlock* e = cache->LookupExact(canon.key);
   if (e == nullptr) {
     obs::RecordFlight(obs::FlightEvent::kCacheMiss);
     SyncResultCacheMetrics();
     return false;
   }
-  rows->reserve(e->num_rows);
-  for (size_t r = 0; r < e->num_rows; ++r) {
-    rows->emplace_back(e->rows.begin() + r * e->arity,
-                       e->rows.begin() + (r + 1) * e->arity);
-  }
-  obs::RecordFlight(obs::FlightEvent::kCacheHit, e->num_rows);
+  *rows = *e;
+  obs::RecordFlight(obs::FlightEvent::kCacheHit, e->size());
   SyncResultCacheMetrics();
   return true;
 }
@@ -335,7 +332,7 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
       if (use_cache) EnsureResultCache();
       // An exact result-cache hit needs no plan: probe before planning.
       if (use_cache) {
-        std::vector<std::vector<NodeId>> canon_rows;
+        RowBlock canon_rows;
         if (TryResultCache(canon, &canon_rows)) {
           MatchResult result;
           // Cached rows are in canonical node order; permute into this
@@ -344,18 +341,9 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
           for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
             result.column_labels.push_back(effective->label(i));
           }
-          if (IsCanonicalNumbering(canon)) {
-            result.rows = std::move(canon_rows);
-          } else {
-            result.rows.reserve(canon_rows.size());
-            for (const auto& crow : canon_rows) {
-              std::vector<NodeId> row(crow.size());
-              for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
-                row[i] = crow[canon.node_map[i]];
-              }
-              result.rows.push_back(std::move(row));
-            }
-          }
+          result.rows = IsCanonicalNumbering(canon)
+                            ? std::move(canon_rows)
+                            : canon_rows.SelectColumns(canon.node_map);
           result.stats.cache_hit = 1;
           result.stats.result_rows = result.rows.size();
           result.stats.elapsed_ms = total.ElapsedMillis();
@@ -373,20 +361,12 @@ Result<MatchResult> GraphMatcher::Match(const Pattern& pattern,
       // processing.
       result.stats.optimize_ms = optimize_ms;
       result.stats.elapsed_ms += optimize_ms;
-      if (use_cache && IsCanonicalNumbering(canon)) {
-        result_cache_->Insert(canon.key, effective->num_nodes(), result.rows);
-        SyncResultCacheMetrics();
-      } else if (use_cache) {
-        std::vector<std::vector<NodeId>> canon_rows;
-        canon_rows.reserve(result.rows.size());
-        for (const auto& row : result.rows) {
-          std::vector<NodeId> crow(row.size());
-          for (PatternNodeId i = 0; i < effective->num_nodes(); ++i) {
-            crow[canon.node_map[i]] = row[i];
-          }
-          canon_rows.push_back(std::move(crow));
-        }
-        result_cache_->Insert(canon.key, effective->num_nodes(), canon_rows);
+      if (use_cache) {
+        // Canonical column c holds the node the inverse map names.
+        result_cache_->Insert(
+            canon.key, IsCanonicalNumbering(canon)
+                           ? result.rows
+                           : result.rows.SelectColumns(canon.InverseNodeMap()));
         SyncResultCacheMetrics();
       }
       return finish(std::move(result));
@@ -486,12 +466,12 @@ Result<MatchResult> GraphMatcher::Project(MatchResult result,
                                           const Pattern& pattern,
                                           const MatchOptions& options) {
   if (options.projection.empty()) return result;
-  std::vector<size_t> cols;
+  std::vector<uint32_t> cols;
   for (const std::string& name : options.projection) {
     bool found = false;
     for (size_t c = 0; c < result.column_labels.size(); ++c) {
       if (result.column_labels[c] == name) {
-        cols.push_back(c);
+        cols.push_back(static_cast<uint32_t>(c));
         found = true;
         break;
       }
@@ -504,12 +484,19 @@ Result<MatchResult> GraphMatcher::Project(MatchResult result,
   (void)pattern;
   MatchResult projected;
   projected.stats = result.stats;
-  for (size_t c : cols) projected.column_labels.push_back(result.column_labels[c]);
-  std::unordered_set<std::vector<NodeId>, RowHash> seen;
-  for (const auto& row : result.rows) {
-    std::vector<NodeId> out(cols.size());
-    for (size_t i = 0; i < cols.size(); ++i) out[i] = row[cols[i]];
-    if (seen.insert(out).second) projected.rows.push_back(std::move(out));
+  for (uint32_t c : cols) projected.column_labels.push_back(result.column_labels[c]);
+  // Dedup by hashing the projected rows in place: the first occurrence
+  // of each distinct row is kept, in order.
+  const RowBlock all = result.rows.SelectColumns(cols);
+  auto hash = [&](uint32_t r) { return RowHash()(all[r]); };
+  auto equal = [&](uint32_t a, uint32_t b) {
+    return std::ranges::equal(all[a], all[b]);
+  };
+  std::unordered_set<uint32_t, decltype(hash), decltype(equal)> seen(
+      all.size(), hash, equal);
+  projected.rows = RowBlock(cols.size());
+  for (uint32_t r = 0; r < all.size(); ++r) {
+    if (seen.insert(r).second) projected.rows.Append(all[r]);
   }
   projected.stats.result_rows = projected.rows.size();
   return projected;
@@ -587,14 +574,7 @@ Result<std::vector<MatchResult>> GraphMatcher::MatchBatch(
     for (PatternNodeId n = 0; n < num_nodes; ++n) {
       res.column_labels.push_back(m.effective->label(n));
     }
-    res.rows.reserve(u.rows.size());
-    for (const auto& crow : u.rows) {
-      std::vector<NodeId> row(num_nodes);
-      for (PatternNodeId n = 0; n < num_nodes; ++n) {
-        row[n] = crow[m.canon.node_map[n]];
-      }
-      res.rows.push_back(std::move(row));
-    }
+    res.rows = u.rows.SelectColumns(m.canon.node_map);
     if (res.stats.cache_hit == 1) ++cache_exact;
     FGPM_ASSIGN_OR_RETURN(results[i],
                           Project(std::move(res), *m.effective, options));

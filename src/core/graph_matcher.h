@@ -3,7 +3,7 @@
 //   fgpm::Graph g = fgpm::gen::XMarkLike({.factor = 0.01});
 //   auto matcher = fgpm::GraphMatcher::Create(&g);
 //   auto result = (*matcher)->Match("site->region; region->item");
-//   for (const auto& row : result->rows) ...
+//   for (std::span<const NodeId> row : result->rows) ...
 //
 // Engines:
 //   kDps       — R-join order interleaved with R-semijoins (Section 4.2,
@@ -183,10 +183,9 @@ class GraphMatcher {
   // Drops both caches when GraphDatabase::epoch() has moved since the
   // last query (ApplyEdgeInsert changed reachability + statistics).
   void CheckEpoch();
-  // Answers `canon` from the result cache on an exact key hit: fills
-  // rows in CANONICAL node order and returns true.
-  bool TryResultCache(const CanonicalForm& canon,
-                      std::vector<std::vector<NodeId>>* rows);
+  // Answers `canon` from the result cache on an exact key hit: copies
+  // the cached rows (in CANONICAL node order) and returns true.
+  bool TryResultCache(const CanonicalForm& canon, RowBlock* rows);
   // Pushes result-cache counter deltas + the bytes gauge into the
   // metrics registry (no-op when obs is disabled).
   void SyncResultCacheMetrics();

@@ -3,8 +3,8 @@
 // query is answered from the cache only on an exact hit — its
 // canonical key matches — and the cached rows are copied out.
 //
-// Rows are stored flattened in canonical node order, so one entry
-// serves every spelling of its pattern. Eviction is LRU by bytes
+// Each entry is the result's RowBlock in canonical node order, so one
+// entry serves every spelling of its pattern. Eviction is LRU by bytes
 // (common/lru_cache.h); a single result larger than the whole budget is
 // never cached. The cache is deliberately single-threaded (owned by one
 // GraphMatcher, like the plan cache); invalidation is the owner's job —
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/lru_cache.h"
-#include "graph/graph.h"
+#include "common/row_block.h"
 
 namespace fgpm {
 
@@ -24,24 +24,17 @@ class ResultCache {
  public:
   explicit ResultCache(size_t budget_bytes) : entries_(budget_bytes) {}
 
-  struct Entry {
-    std::vector<NodeId> rows;  // row-major, arity ids per row
-    size_t arity = 0;
-    size_t num_rows = 0;
-  };
-
   // Exact lookup; refreshes recency and bumps hits_exact on success,
   // misses otherwise. The pointer stays valid until the next
   // Insert/Clear.
-  const Entry* LookupExact(const std::string& key);
+  const RowBlock* LookupExact(const std::string& key);
 
-  // Inserts rows (already permuted into canonical node order, `arity`
-  // ids each) under `key`. Replaces an existing entry for the same key.
-  // Oversized results (entry alone over the whole budget) are skipped;
-  // otherwise least-recently-used entries are evicted until within
-  // budget.
-  void Insert(const std::string& key, size_t arity,
-              const std::vector<std::vector<NodeId>>& rows);
+  // Inserts a copy of `rows` (already in canonical node order) under
+  // `key`. Replaces an existing entry for the same key. Oversized
+  // results (entry alone over the whole budget) are skipped before
+  // copying; otherwise least-recently-used entries are evicted until
+  // within budget.
+  void Insert(const std::string& key, const RowBlock& rows);
 
   void Clear() { entries_.Clear(); }
 
@@ -54,7 +47,7 @@ class ResultCache {
   uint64_t inserts() const { return inserts_; }
 
  private:
-  LruCache<std::string, Entry> entries_;  // weighted by EntryBytes
+  LruCache<std::string, RowBlock> entries_;  // weighted by EntryBytes
   uint64_t hits_exact_ = 0;
   uint64_t misses_ = 0;
   uint64_t inserts_ = 0;

@@ -234,12 +234,14 @@ Status RunPlanSteps(const GraphDatabase& db, const Pattern& pattern,
   return Status::OK();
 }
 
-// The single materialization point: projects `table` into
-// result->rows in pattern-node order (plans bind labels in plan
-// order). Each column of a delta-chained table is gathered once,
-// sequentially.
+// The single materialization point: writes `table`'s rows into
+// result->rows in pattern-node order (plans bind labels in plan order).
+// The block is allocated once, unwritten, and filled in row chunks of
+// kMaterializeChunkRows across the pool; each chunk writes its own
+// slice, so row order is the table's and there is no merge. A result
+// of at most one chunk is filled inline on the caller.
 void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
-                      MatchResult* result) {
+                      ThreadPool* pool, MatchResult* result) {
   if (table.NumColumns() != pattern.num_nodes()) {
     // Execution emptied out before binding all labels — result stays
     // empty, which is correct (an empty intermediate join is empty
@@ -253,35 +255,20 @@ void MaterializeTable(const Pattern& pattern, const TemporalTable& table,
     col_of[i] = *c;
   }
   const size_t nrows = table.NumRows();
-  result->rows.reserve(nrows);
-  if (!table.deltas().empty()) {
-    std::vector<std::vector<NodeId>> cols(pattern.num_nodes());
-    for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
-      table.GatherColumn(col_of[i], &cols[i]);
-    }
-    for (size_t r = 0; r < nrows; ++r) {
-      std::vector<NodeId> row(pattern.num_nodes());
-      for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
-        row[i] = cols[i][r];
-      }
-      result->rows.push_back(std::move(row));
-    }
-  } else {
-    size_t ncols = table.NumColumns();
-    for (size_t r = 0; r < nrows; ++r) {
-      std::vector<NodeId> row(pattern.num_nodes());
-      for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
-        row[i] = table.raw_rows()[r * ncols + col_of[i]];
-      }
-      result->rows.push_back(std::move(row));
-    }
+  const size_t width = col_of.size();
+  std::optional<ScopedSchedLabel> sched_label;
+  if (Scheduler::ProfilingEnabled()) {
+    sched_label.emplace(Scheduler::InternLabel("match;materialize"));
   }
+  NodeId* out = result->rows.AppendUninitialized(nrows);
+  RunChunked(pool, nrows, kMaterializeChunkRows,
+             [&](unsigned, size_t, size_t begin, size_t end) {
+               table.FillRows(col_of, begin, end, out + begin * width);
+             });
   result->stats.operators.rows_materialized += nrows;
 }
 
 }  // namespace
-
-void MatchResult::SortRows() { std::sort(rows.begin(), rows.end()); }
 
 bool ResolveNodeLabels(const GraphDatabase& db, const Pattern& pattern,
                        std::vector<LabelId>* node_labels) {
@@ -323,23 +310,40 @@ Result<MatchResult> Executor::Execute(const Pattern& pattern,
   for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
     result.column_labels.push_back(pattern.label(i));
   }
+  result.rows = RowBlock(pattern.num_nodes());
 
   // Resolve pattern labels; a label with no extent means zero matches.
   std::vector<LabelId> node_labels;
   if (ResolveNodeLabels(*db_, pattern, &node_labels)) {
-    if (pattern.num_edges() == 0) {
-      // Single-label pattern: scan the base table.
-      FGPM_RETURN_IF_ERROR(
-          db_->table(node_labels[0]).Scan([&](const GraphCodeRecord& rec) {
-            result.rows.push_back({rec.node});
-          }));
-    } else {
-      TemporalTable table;
+    TemporalTable table;
+    if (pattern.num_edges() > 0) {
       FGPM_RETURN_IF_ERROR(RunPlanSteps(*db_, pattern, node_labels, plan,
                                         &table, &result.stats, trace.get(),
                                         query_span, pool_.get(), &scratch_,
                                         &wcoj_binds));
-      MaterializeTable(pattern, table, &result);
+    }
+    // Writing the result block is its own span and its own stat: the
+    // fill from the final temporal table, or the base-table scan that
+    // is the whole of a single-label pattern.
+    uint32_t span = 0;
+    if (trace) {
+      span = trace->BeginSpan("materialize", "operator",
+                              static_cast<int32_t>(query_span));
+      trace->AddArg(span, "rows_in", table.NumRows());
+    }
+    WallTimer materialize_timer;
+    if (pattern.num_edges() == 0) {
+      FGPM_RETURN_IF_ERROR(
+          db_->table(node_labels[0]).Scan([&](const GraphCodeRecord& rec) {
+            result.rows.Append({rec.node});
+          }));
+    } else {
+      MaterializeTable(pattern, table, pool_.get(), &result);
+    }
+    result.stats.materialize_ms = materialize_timer.ElapsedMillis();
+    if (trace) {
+      trace->EndSpan(span);
+      trace->AddArg(span, "rows_out", result.rows.size());
     }
   }
 

@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.h"  // RowSetChecksum over MatchResult::rows
 #include "common/parallel.h"
+#include "common/row_block.h"  // MatchResult::rows, RowSetChecksum
 #include "common/status.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
@@ -21,6 +21,10 @@ namespace fgpm {
 struct ExecStats {
   double elapsed_ms = 0;
   double optimize_ms = 0;  // plan-selection time (set by GraphMatcher)
+  // Time to write the result block from the final temporal table (or,
+  // for a single-label pattern, from the base-table scan); inside
+  // elapsed_ms, outside every plan step.
+  double materialize_ms = 0;
   uint64_t result_rows = 0;
   // How the result was produced: 0 = fresh execution, 1 = result-cache
   // exact hit (rows copied). Set by GraphMatcher.
@@ -52,12 +56,17 @@ struct ExecStats {
 struct MatchResult {
   // Column i binds pattern node i (label column_labels[i]).
   std::vector<std::string> column_labels;
-  std::vector<std::vector<NodeId>> rows;  // distinct tuples
+  RowBlock rows;  // distinct tuples, width column_labels.size()
   ExecStats stats;
 
   // Canonical ordering for comparisons in tests.
-  void SortRows();
+  void SortRows() { rows.SortRows(); }
 };
+
+// Rows per chunk of the parallel result fill. A result of at most one
+// chunk is filled inline on the calling thread: small results (the
+// serving path's common case) never post morsels or wake workers.
+inline constexpr size_t kMaterializeChunkRows = 16384;
 
 // Intra-operator parallelism and caching knobs. Result rows, in order,
 // are identical for every thread count (see operators.h); elapsed time

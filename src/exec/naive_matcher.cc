@@ -15,8 +15,8 @@ struct SearchState {
   ReachOracle* oracle;
   std::vector<LabelId> node_labels;
   std::vector<PatternNodeId> order;      // binding order
-  std::vector<NodeId> binding;           // per pattern node
-  std::vector<std::vector<NodeId>> out;  // result rows
+  std::vector<NodeId> binding;  // per pattern node
+  RowBlock* out = nullptr;      // result rows
 };
 
 // Checks every pattern edge whose endpoints are both bound, where at
@@ -33,7 +33,7 @@ bool ConsistentWith(SearchState& s, PatternNodeId just_bound,
 
 void Backtrack(SearchState& s, size_t depth, std::vector<bool>& bound) {
   if (depth == s.order.size()) {
-    s.out.push_back(s.binding);
+    s.out->Append(s.binding);
     return;
   }
   PatternNodeId pn = s.order[depth];
@@ -55,6 +55,7 @@ Result<MatchResult> NaiveMatch(const Graph& g, const Pattern& pattern) {
   for (PatternNodeId i = 0; i < pattern.num_nodes(); ++i) {
     result.column_labels.push_back(pattern.label(i));
   }
+  result.rows = RowBlock(pattern.num_nodes());
 
   SearchState s;
   s.g = &g;
@@ -83,8 +84,8 @@ Result<MatchResult> NaiveMatch(const Graph& g, const Pattern& pattern) {
               });
     s.binding.assign(pattern.num_nodes(), kInvalidNode);
     std::vector<bool> bound(pattern.num_nodes(), false);
+    s.out = &result.rows;
     Backtrack(s, 0, bound);
-    result.rows = std::move(s.out);
   }
 
   result.stats.result_rows = result.rows.size();

@@ -9,12 +9,7 @@
 #include "common/sorted_vector.h"
 
 namespace fgpm {
-namespace {
 
-// Runs body over chunks of [0, n): inline when no pool is given (or the
-// pool has one worker — ThreadPool::ParallelFor already inlines that),
-// fanned out otherwise. Chunk decomposition never affects operator
-// output (chunks are merged in chunk order), only scheduling.
 void RunChunked(ThreadPool* pool, size_t n, size_t chunk_size,
                 const ThreadPool::Body& body) {
   if (chunk_size == 0) chunk_size = 1;
@@ -27,16 +22,14 @@ void RunChunked(ThreadPool* pool, size_t n, size_t chunk_size,
   pool->ParallelFor(n, chunk_size, body);
 }
 
-// Chunk size for fanning `n` items out across the pool: one chunk (full
-// hoisting, zero overhead) when sequential, ~8 chunks per worker when
-// parallel so skew still balances, floored at `min_chunk` items to keep
-// per-chunk setup amortized.
 size_t ChunkFor(size_t n, ThreadPool* pool, size_t min_chunk) {
   if (n == 0) return 1;
   if (pool == nullptr || pool->size() <= 1) return n;
   size_t target = n / (static_cast<size_t>(pool->size()) * 8) + 1;
   return std::max(min_chunk, target);
 }
+
+namespace {
 
 // First non-OK status in chunk order (deterministic error reporting).
 Status FirstError(const std::vector<Status>& statuses) {

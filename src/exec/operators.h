@@ -111,6 +111,19 @@ struct ExecScratch {
   }
 };
 
+// Runs body over chunks of [0, n): inline when no pool is given (or the
+// pool has one worker — ThreadPool::ParallelFor already inlines that),
+// fanned out otherwise. Chunk decomposition never affects operator
+// output (chunks are merged in chunk order), only scheduling.
+void RunChunked(ThreadPool* pool, size_t n, size_t chunk_size,
+                const ThreadPool::Body& body);
+
+// Chunk size for fanning `n` items out across the pool: one chunk (full
+// hoisting, zero overhead) when sequential, ~8 chunks per worker when
+// parallel so skew still balances, floored at `min_chunk` items to keep
+// per-chunk setup amortized.
+size_t ChunkFor(size_t n, ThreadPool* pool, size_t min_chunk);
+
 // Charged pages for one pass over a temporal table's current contents
 // (base block + delta levels + per-row pending center lists).
 uint64_t TemporalTablePages(const TemporalTable& table);

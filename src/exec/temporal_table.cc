@@ -54,6 +54,35 @@ void TemporalTable::GatherColumn(size_t col, std::vector<NodeId>* out) const {
   }
 }
 
+void TemporalTable::FillRows(std::span<const size_t> col_order, size_t begin,
+                             size_t end, NodeId* out) const {
+  const size_t width = col_order.size();
+  const size_t bc = base_columns();
+  // pos[c] = where table column c goes within an output row.
+  std::vector<size_t> pos(NumColumns());
+  for (size_t k = 0; k < width; ++k) pos[col_order[k]] = k;
+  // idx[i] = row begin + i's ancestor at the level being written.
+  std::vector<uint32_t> idx(end - begin);
+  for (size_t i = 0; i < idx.size(); ++i) {
+    idx[i] = static_cast<uint32_t>(begin + i);
+  }
+  for (size_t level = deltas_.size(); level-- > 0;) {
+    const DeltaColumn& d = deltas_[level];
+    NodeId* o = out + pos[bc + level];
+    for (uint32_t& i : idx) {
+      *o = d.value[i];
+      i = d.parent[i];
+      o += width;
+    }
+  }
+  NodeId* o = out;
+  for (uint32_t i : idx) {
+    const NodeId* base = rows_.data() + static_cast<size_t>(i) * bc;
+    for (size_t c = 0; c < bc; ++c) o[pos[c]] = base[c];
+    o += width;
+  }
+}
+
 uint64_t TemporalTable::ByteSize() const {
   uint64_t bytes = rows_.size() * 4ull;
   for (const DeltaColumn& d : deltas_) {

@@ -7,8 +7,8 @@
 // filters and selects compact it). Each fetch or WCOJ bind appends a
 // DeltaColumn of (parent_row, new_node) pairs that reference the
 // previous level, so a chain of fetches forms a factorized prefix
-// tree. Full rows exist only when GatherColumn materializes them (once,
-// at output).
+// tree. Full rows exist only when FillRows writes them into the
+// result block (once, at output).
 //
 // NumRows() always refers to the deepest level — the logical row count.
 // Filters and selects compact only the deepest level; earlier levels
@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -80,6 +81,13 @@ class TemporalTable {
   // Materializes column `col` for every current (deepest-level) row by
   // composing parent chains top-down: O(rows * depth), sequential reads.
   void GatherColumn(size_t col, std::vector<NodeId>* out) const;
+
+  // Writes full rows [begin, end) of the deepest level, row-major, to
+  // `out` (row `begin` first): id k of a row is the value of table
+  // column col_order[k]. Walks the delta levels bottom-up through
+  // `parent`; reads only, so disjoint ranges may fill concurrently.
+  void FillRows(std::span<const size_t> col_order, size_t begin, size_t end,
+                NodeId* out) const;
 
   // Bytes of the current representation (base block + delta levels),
   // excluding pending pools. Basis of the charged temporal-table I/O.

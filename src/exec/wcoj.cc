@@ -9,26 +9,6 @@
 namespace fgpm {
 namespace {
 
-// Mirrors the chunk helpers of operators.cc (kept file-local there).
-void RunChunked(ThreadPool* pool, size_t n, size_t chunk_size,
-                const ThreadPool::Body& body) {
-  if (chunk_size == 0) chunk_size = 1;
-  if (pool == nullptr) {
-    for (size_t begin = 0; begin < n; begin += chunk_size) {
-      body(0, begin / chunk_size, begin, std::min(n, begin + chunk_size));
-    }
-    return;
-  }
-  pool->ParallelFor(n, chunk_size, body);
-}
-
-size_t ChunkFor(size_t n, ThreadPool* pool, size_t min_chunk) {
-  if (n == 0) return 1;
-  if (pool == nullptr || pool->size() <= 1) return n;
-  size_t target = n / (static_cast<size_t>(pool->size()) * 8) + 1;
-  return std::max(min_chunk, target);
-}
-
 Status FirstError(const std::vector<Status>& statuses) {
   for (const Status& s : statuses) {
     if (!s.ok()) return s;

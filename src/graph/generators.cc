@@ -11,6 +11,15 @@
 namespace fgpm::gen {
 namespace {
 
+// "L<i>", the synthetic generators' label names. Built by appending to
+// a named string: GCC 12 at -O3 misreports `"L" + std::to_string(i)`
+// as an overlapping copy (-Wrestrict).
+std::string SyntheticLabel(uint32_t i) {
+  std::string name = "L";
+  name += std::to_string(i);
+  return name;
+}
+
 // Nodes eligible as IDREF targets, collected during document generation.
 struct RefPools {
   std::vector<NodeId> categories;
@@ -291,7 +300,7 @@ Graph ErdosRenyi(uint32_t n, uint64_t m, uint32_t num_labels, uint64_t seed) {
   std::vector<LabelId> labels;
   labels.reserve(num_labels);
   for (uint32_t i = 0; i < num_labels; ++i) {
-    labels.push_back(g.InternLabel("L" + std::to_string(i)));
+    labels.push_back(g.InternLabel(SyntheticLabel(i)));
   }
   Rng rng(seed);
   // Zipf-skewed label assignment so extents have realistic size spread.
@@ -316,7 +325,7 @@ Graph RandomDag(uint32_t n, double avg_out_degree, uint32_t num_labels,
   Graph g;
   std::vector<LabelId> labels;
   for (uint32_t i = 0; i < num_labels; ++i) {
-    labels.push_back(g.InternLabel("L" + std::to_string(i)));
+    labels.push_back(g.InternLabel(SyntheticLabel(i)));
   }
   Rng rng(seed);
   for (uint32_t v = 0; v < n; ++v) {
@@ -340,7 +349,7 @@ Graph ScaleFree(uint32_t n, uint32_t edges_per_node, uint32_t num_labels,
   Graph g;
   std::vector<LabelId> labels;
   for (uint32_t i = 0; i < num_labels; ++i) {
-    labels.push_back(g.InternLabel("L" + std::to_string(i)));
+    labels.push_back(g.InternLabel(SyntheticLabel(i)));
   }
   Rng rng(seed);
   for (uint32_t v = 0; v < n; ++v) {

@@ -146,9 +146,10 @@ void EncodeQueryResponse(const QueryResponse& resp, std::string* out) {
     if (resp.checksum_only()) {
       Put<uint64_t>(out, resp.checksum);
     } else {
-      for (const auto& row : resp.rows) {
-        for (NodeId v : row) Put<uint32_t>(out, v);
-      }
+      // The block is the row payload: ids row-major in host order,
+      // which every Put here assumes is little-endian. One pass.
+      out->append(reinterpret_cast<const char*>(resp.rows.data()),
+                  resp.rows.size() * resp.rows.width() * sizeof(uint32_t));
     }
   }
   EndFrame(out, len_at);
@@ -180,13 +181,13 @@ Status DecodeQueryResponse(std::span<const char> payload,
     FGPM_RETURN_IF_ERROR(r.GetString(clen, &c));
   }
   FGPM_RETURN_IF_ERROR(r.Get(&resp->row_count));
-  resp->rows.clear();
+  resp->rows = RowBlock(ncols);
   if (resp->checksum_only()) {
     FGPM_RETURN_IF_ERROR(r.Get(&resp->checksum));
     return r.ExpectDone();
   }
   // Row payload size is implied; verify it matches before allocating
-  // (a hostile row_count must not drive the resize below).
+  // (a hostile row_count must not drive the allocation below).
   if (ncols == 0 && resp->row_count != 0) {
     return Status::InvalidArgument("rows without columns");
   }
@@ -195,11 +196,9 @@ Status DecodeQueryResponse(std::span<const char> payload,
       remaining != resp->row_count * ncols * 4) {
     return Status::InvalidArgument("row payload size mismatch");
   }
-  resp->rows.resize(resp->row_count);
-  for (auto& row : resp->rows) {
-    row.resize(ncols);
-    for (auto& v : row) FGPM_RETURN_IF_ERROR(r.Get(&v));
-  }
+  uint32_t* ids = resp->rows.AppendUninitialized(resp->row_count);
+  if (remaining > 0) std::memcpy(ids, payload.data() + r.pos, remaining);
+  r.pos += remaining;
   return r.ExpectDone();
 }
 

@@ -16,7 +16,7 @@
 //   response := [u64 id][u8 status_code]
 //               ok:    [u8 flags][u16 ncols][ncols x (u16 len, bytes)]
 //                      checksum_only: [u64 row_count][u64 checksum]
-//                        (checksum = RowSetChecksum, common/hash.h)
+//                        (checksum = RowSetChecksum, common/row_block.h)
 //                      else:          [u64 row_count][rows x ncols x u32]
 //               error: [u16 msg_len][msg bytes]
 //
@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "common/row_block.h"
 #include "common/status.h"
-#include "graph/graph.h"
 
 namespace fgpm::net {
 
@@ -86,7 +86,7 @@ struct QueryResponse {
   std::vector<std::string> columns;
   uint64_t row_count = 0;
   uint64_t checksum = 0;  // valid when flags has kFlagChecksumOnly
-  std::vector<std::vector<NodeId>> rows;  // empty when checksum-only
+  RowBlock rows;  // width columns.size(); empty when checksum-only
 
   bool ok() const { return code == StatusCode::kOk; }
   bool checksum_only() const { return flags & kFlagChecksumOnly; }

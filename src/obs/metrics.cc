@@ -416,8 +416,13 @@ std::string MetricsRegistry::ToJson() const {
           if (s.counts[b] == 0) continue;
           if (!first) histograms += ", ";
           first = false;
-          histograms += "[" + FormatU64(Histogram::BucketUpper(b)) + ", " +
-                        FormatU64(s.counts[b]) + "]";
+          // Appends, not "[" + ...: GCC 12 -O3 misreads that chain as
+          // an overlapping copy (-Wrestrict).
+          histograms += "[";
+          histograms += FormatU64(Histogram::BucketUpper(b));
+          histograms += ", ";
+          histograms += FormatU64(s.counts[b]);
+          histograms += "]";
         }
         histograms += "]";
         if (e.histogram->window_enabled()) {
@@ -434,8 +439,11 @@ std::string MetricsRegistry::ToJson() const {
             if (ex.trace_id == 0) continue;
             if (!wfirst) histograms += ", ";
             wfirst = false;
-            histograms += "[" + FormatU64(Histogram::BucketUpper(b)) +
-                          ", \"" + FormatHex64(ex.trace_id) + "\"]";
+            histograms += "[";
+            histograms += FormatU64(Histogram::BucketUpper(b));
+            histograms += ", \"";
+            histograms += FormatHex64(ex.trace_id);
+            histograms += "\"]";
           }
           histograms += "]}";
         }

@@ -112,8 +112,10 @@ std::string PlanExplanation::ToStringWithActuals(const ExecStats& stats) const {
                 stats.elapsed_ms, stats.optimize_ms);
   out += buf;
   const OperatorStats& op = stats.operators;
-  std::snprintf(buf, sizeof(buf), "materialized: %llu rows\n",
-                static_cast<unsigned long long>(op.rows_materialized));
+  std::snprintf(buf, sizeof(buf),
+                "materialized: %llu rows, result fill %.3f ms\n",
+                static_cast<unsigned long long>(op.rows_materialized),
+                stats.materialize_ms);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "temporal pages: %llu read, %llu written\n",

@@ -56,6 +56,7 @@ void PublishStats(const CrossShardStats& s) {
 MatchResult EmptyResult(const Pattern& p) {
   MatchResult r;
   r.column_labels = p.labels();
+  r.rows = RowBlock(p.num_nodes());
   return r;
 }
 
@@ -226,9 +227,10 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
   }
 
   CodeMemo memo;
-  // Working table: col_of[i] = column of pattern node i (-1 = unbound).
+  // Working table: col_of[i] = column of pattern node i (-1 = unbound);
+  // rows.width() == num_bound.
   std::vector<int> col_of(n, -1);
-  std::vector<std::vector<NodeId>> rows;
+  RowBlock rows;
   size_t num_bound = 0;
 
   auto shard_of = [&](PatternNodeId u) { return label_to_shard_[labels[u]]; };
@@ -289,10 +291,9 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
     col_of[e.from] = 0;
     col_of[e.to] = 1;
     num_bound = 2;
-    rows.reserve(pairs.size());
-    for (uint64_t pr : pairs) {
-      rows.push_back({PairFirst(pr), PairSecond(pr)});
-    }
+    rows = RowBlock(2);
+    rows.Reserve(pairs.size());
+    for (uint64_t pr : pairs) rows.Append({PairFirst(pr), PairSecond(pr)});
     edge_done.front() = 1;
   }
 
@@ -300,9 +301,8 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
   auto apply_filter = [&](const PatternEdge& e) -> Status {
     const int cu = col_of[e.from], cv = col_of[e.to];
     std::unordered_map<uint64_t, bool> verdict;
-    std::vector<std::vector<NodeId>> kept;
-    kept.reserve(rows.size());
-    for (auto& row : rows) {
+    RowBlock kept(rows.width());
+    for (RowBlock::Row row : rows) {
       uint64_t key = PackPair(row[cu], row[cv]);
       auto it = verdict.find(key);
       if (it == verdict.end()) {
@@ -315,9 +315,9 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
         cs->probe_pairs += 1;
         it = verdict.emplace(key, SortedIntersects(*out_c, *in_c)).first;
       }
-      if (it->second) kept.push_back(std::move(row));
+      if (it->second) kept.Append(row);
     }
-    rows.swap(kept);
+    rows = std::move(kept);
     return Status::OK();
   };
 
@@ -372,11 +372,10 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
     return Status::OK();
   };
 
-  auto distinct_column = [](const std::vector<std::vector<NodeId>>& rws,
-                            int col) {
+  auto distinct_column = [](const RowBlock& rws, int col) {
     std::vector<NodeId> vals;
     vals.reserve(rws.size());
-    for (const auto& r : rws) vals.push_back(r[col]);
+    for (RowBlock::Row r : rws) vals.push_back(r[col]);
     std::sort(vals.begin(), vals.end());
     vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
     return vals;
@@ -414,7 +413,7 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
     for (uint32_t i = 0; i < sub.rows.size(); ++i) {
       srows[sub.rows[i][scol]].push_back(i);
     }
-    std::vector<std::vector<NodeId>> joined;
+    RowBlock joined(rows.width() + sub.rows.width());
     for (uint64_t pr : pairs) {
       NodeId wv = from_in_working ? PairFirst(pr) : PairSecond(pr);
       NodeId sv = from_in_working ? PairSecond(pr) : PairFirst(pr);
@@ -423,13 +422,13 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
       if (wi == wrows.end() || si == srows.end()) continue;
       for (uint32_t ri : wi->second) {
         for (uint32_t rj : si->second) {
-          std::vector<NodeId> row = rows[ri];
-          row.insert(row.end(), sub.rows[rj].begin(), sub.rows[rj].end());
-          joined.push_back(std::move(row));
+          NodeId* out = joined.AppendUninitialized(1);
+          out = std::copy(rows[ri].begin(), rows[ri].end(), out);
+          std::copy(sub.rows[rj].begin(), sub.rows[rj].end(), out);
         }
       }
     }
-    rows.swap(joined);
+    rows = std::move(joined);
     bind_sub(k);
     sub_merged[k] = 1;
     return Status::OK();
@@ -489,16 +488,15 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
       c.erase(std::unique(c.begin(), c.end()), c.end());
       cands.emplace(a, std::move(c));
     }
-    std::vector<std::vector<NodeId>> extended;
-    for (const auto& row : rows) {
+    RowBlock extended(rows.width() + 1);
+    for (RowBlock::Row row : rows) {
       const auto& c = cands[row[bcol]];
       for (NodeId b : c) {
-        std::vector<NodeId> nr = row;
-        nr.push_back(b);
-        extended.push_back(std::move(nr));
+        NodeId* out = extended.AppendUninitialized(1);
+        *std::copy(row.begin(), row.end(), out) = b;
       }
     }
-    rows.swap(extended);
+    rows = std::move(extended);
     col_of[unode] = static_cast<int>(num_bound);
     ++num_bound;
     return Status::OK();
@@ -549,12 +547,8 @@ Result<MatchResult> ShardedMatcher::JoinCross(const Pattern& p,
 
   MatchResult result = EmptyResult(p);
   if (num_bound == n && !rows.empty()) {
-    result.rows.reserve(rows.size());
-    for (const auto& row : rows) {
-      std::vector<NodeId> out(n);
-      for (PatternNodeId i = 0; i < n; ++i) out[i] = row[col_of[i]];
-      result.rows.push_back(std::move(out));
-    }
+    std::vector<uint32_t> cols(col_of.begin(), col_of.end());
+    result.rows = rows.SelectColumns(cols);
   }
   result.stats.elapsed_ms = timer.ElapsedMillis();
   result.stats.result_rows = result.rows.size();

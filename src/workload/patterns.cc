@@ -93,7 +93,9 @@ Pattern GenericPath(int k) {
   Pattern p;
   PatternNodeId prev = p.AddNode("L0");
   for (int i = 1; i < k; ++i) {
-    PatternNodeId cur = p.AddNode("L" + std::to_string(i));
+    std::string label = "L";  // appended: see gen::SyntheticLabel
+    label += std::to_string(i);
+    PatternNodeId cur = p.AddNode(label);
     Status s = p.AddEdge(prev, cur);
     FGPM_CHECK(s.ok());
     prev = cur;

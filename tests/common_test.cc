@@ -270,9 +270,10 @@ TEST(HashTest, PackPairRoundTrip) {
 
 TEST(HashTest, RowHashDistinguishesRows) {
   RowHash h;
-  EXPECT_NE(h({1, 2, 3}), h({1, 2, 4}));
-  EXPECT_NE(h({1, 2}), h({2, 1}));
-  EXPECT_EQ(h({1, 2, 3}), h({1, 2, 3}));
+  using Ids = std::vector<uint32_t>;
+  EXPECT_NE(h(Ids{1, 2, 3}), h(Ids{1, 2, 4}));
+  EXPECT_NE(h(Ids{1, 2}), h(Ids{2, 1}));
+  EXPECT_EQ(h(Ids{1, 2, 3}), h(Ids{1, 2, 3}));
 }
 
 using StrLru = LruCache<std::string, int>;

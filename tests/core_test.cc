@@ -126,7 +126,7 @@ TEST(GraphMatcherTest, IoStatsTrackExecution) {
 TEST(GraphMatcherTest, FromSavedDatabase) {
   Graph g = gen::ErdosRenyi(150, 450, 3, 19);
   std::string path = ::testing::TempDir() + "/matcher_db.fgpm";
-  std::vector<std::vector<NodeId>> want;
+  RowBlock want;
   {
     auto matcher = GraphMatcher::Create(&g);
     ASSERT_TRUE(matcher.ok());

@@ -219,8 +219,8 @@ TEST_F(ExecFixture, PaperFigure1PatternHasStatedMatch) {
   // pattern's parse order A, C, B, D, E.
   std::vector<NodeId> stated{0, 9, 1, 14, 19};
   bool found = false;
-  for (const auto& row : r->rows) {
-    if (row == stated) found = true;
+  for (std::span<const NodeId> row : r->rows) {
+    if (std::ranges::equal(row, stated)) found = true;
   }
   EXPECT_TRUE(found);
   ExpectMatchesNaive(*p, plan);

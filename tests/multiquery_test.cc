@@ -23,7 +23,7 @@ std::unique_ptr<GraphMatcher> MakeMatcher(const Graph& g, ExecOptions eo) {
   return std::move(*m);
 }
 
-std::vector<std::vector<NodeId>> SortedRows(Result<MatchResult> r) {
+RowBlock SortedRows(Result<MatchResult> r) {
   EXPECT_TRUE(r.ok()) << r.status();
   r->SortRows();
   return std::move(r->rows);

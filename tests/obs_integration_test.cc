@@ -40,9 +40,10 @@ TEST(TraceIntegrationTest, SpanPerExecutedStep) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_NE(r->stats.trace, nullptr);
   const auto& spans = r->stats.trace->spans();
-  // One root span plus one span per executed plan-step entry (absorbed
-  // selects appear as child spans of their fetch).
-  ASSERT_EQ(spans.size(), 1 + r->stats.step_rows.size());
+  // One root span, one span per executed plan-step entry (absorbed
+  // selects appear as child spans of their fetch) and the materialize
+  // span.
+  ASSERT_EQ(spans.size(), 2 + r->stats.step_rows.size());
   EXPECT_EQ(spans[0].category, "query");
   EXPECT_GT(spans[0].wall_us, 0.0);
   const uint64_t* res_rows = spans[0].FindArg("result_rows");
@@ -56,6 +57,43 @@ TEST(TraceIntegrationTest, SpanPerExecutedStep) {
   // step_wall_ms / step_absorbed stay aligned with step_rows.
   EXPECT_EQ(r->stats.step_wall_ms.size(), r->stats.step_rows.size());
   EXPECT_EQ(r->stats.step_absorbed.size(), r->stats.step_rows.size());
+}
+
+// Writing the result block is accounted: a materialize span under the
+// query span, ExecStats::materialize_ms inside the query's elapsed time,
+// and EXPLAIN ANALYZE's "materialized: N rows" line.
+TEST(TraceIntegrationTest, MaterializeIsAccounted) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "FGPM_OBS=OFF";
+  ExecOptions opts;
+  opts.trace_level = 1;
+  auto m = MakeMatcher(opts);
+  auto r = m->Match(kTriangle);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_GT(r->stats.result_rows, 0u);
+  ASSERT_NE(r->stats.trace, nullptr);
+  const auto& spans = r->stats.trace->spans();
+  ASSERT_FALSE(spans.empty());
+  ASSERT_EQ(spans[0].category, "query");
+  size_t found = 0;
+  for (const TraceSpan& s : spans) {
+    if (s.name != "materialize") continue;
+    ++found;
+    EXPECT_EQ(s.parent, 0);
+    const uint64_t* rows_out = s.FindArg("rows_out");
+    ASSERT_NE(rows_out, nullptr);
+    EXPECT_EQ(*rows_out, r->stats.result_rows);
+  }
+  EXPECT_EQ(found, 1u);
+
+  EXPECT_GT(r->stats.materialize_ms, 0.0);
+  EXPECT_LE(r->stats.materialize_ms, r->stats.elapsed_ms);
+
+  auto ea = m->ExplainAnalyze(kTriangle);
+  ASSERT_TRUE(ea.ok()) << ea.status().ToString();
+  const std::string prefix =
+      "materialized: " +
+      std::to_string(ea->result.stats.operators.rows_materialized) + " rows";
+  EXPECT_NE(ea->report.find(prefix), std::string::npos) << ea->report;
 }
 
 TEST(TraceIntegrationTest, MultiFusedSelectChildSpansShareFetchInterval) {

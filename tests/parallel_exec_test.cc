@@ -160,7 +160,7 @@ TEST_P(ParallelDifferential, ThreadCountsAgreeWithNaive) {
     ASSERT_TRUE(expect.ok());
     expect->SortRows();
     for (Engine e : {Engine::kDps, Engine::kDp, Engine::kCanonical}) {
-      std::vector<std::vector<NodeId>> first_rows;
+      RowBlock first_rows;
       for (size_t i = 0; i < matchers.size(); ++i) {
         auto r = matchers[i]->Match(p, {.engine = e});
         ASSERT_TRUE(r.ok()) << EngineName(e) << ": " << r.status();

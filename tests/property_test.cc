@@ -115,7 +115,10 @@ TEST_P(MonotonicityProperty, AddingEdgesNeverAddsMatches) {
   ASSERT_TRUE(rc.ok());
   // Project constrained rows onto (L0, L1, L2): every projected tuple
   // must appear in the base result.
-  std::set<std::vector<NodeId>> base_rows(rb->rows.begin(), rb->rows.end());
+  std::set<std::vector<NodeId>> base_rows;
+  for (std::span<const NodeId> row : rb->rows) {
+    base_rows.emplace(row.begin(), row.end());
+  }
   for (const auto& row : rc->rows) {
     std::vector<NodeId> proj{row[0], row[1], row[2]};
     EXPECT_TRUE(base_rows.count(proj));

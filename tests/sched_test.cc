@@ -284,7 +284,7 @@ TEST(SchedulerDeterminism, StrategiesByteIdenticalAcrossWidths) {
        {JoinStrategy::kBinary, JoinStrategy::kWcoj, JoinStrategy::kHybrid}) {
     for (auto& m : matchers) m->set_join_strategy(s);
     for (const auto& p : patterns) {
-      std::vector<std::vector<NodeId>> first_rows;
+      RowBlock first_rows;
       for (size_t i = 0; i < matchers.size(); ++i) {
         auto r = matchers[i]->Match(p, {});
         ASSERT_TRUE(r.ok()) << r.status();

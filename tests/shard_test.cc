@@ -23,7 +23,7 @@ Pattern P(std::string_view text) {
   return *p;
 }
 
-std::vector<std::vector<NodeId>> SortedRows(Result<MatchResult> r) {
+RowBlock SortedRows(Result<MatchResult> r) {
   EXPECT_TRUE(r.ok()) << r.status();
   if (!r.ok()) return {};
   r->SortRows();

@@ -91,7 +91,7 @@ TEST_P(WcojDifferential, CyclicPatternsMatchNaiveAndBinary) {
            {StrategyCase{JoinStrategy::kBinary, "binary"},
             StrategyCase{JoinStrategy::kWcoj, "wcoj"},
             StrategyCase{JoinStrategy::kHybrid, "hybrid"}}) {
-        std::vector<std::vector<NodeId>> single_rows;
+        RowBlock single_rows;
         for (M& m : ms) {
           m.matcher->set_join_strategy(sc.strategy);
           auto r = m.matcher->Match(*p, {.engine = e});
